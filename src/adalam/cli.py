@@ -212,11 +212,13 @@ def _cmd_eval(args) -> int:
             raise ValueError("eval: --matches file must carry a gt column")
         selected, _ = read_matches(args.selected)
         pairs = {(int(a), int(b)) for a, b in zip(selected.idx1, selected.idx2)}
-        sel = np.array(
-            [k for k in range(len(matches))
-             if (int(matches.idx1[k]), int(matches.idx2[k])) in pairs],
-            dtype=np.int64,
-        )
+        known = list(zip(matches.idx1.tolist(), matches.idx2.tolist()))
+        sel = np.array([k for k, pair in enumerate(known) if pair in pairs],
+                       dtype=np.int64)
+        missing = len(pairs.difference(known))
+        if missing:
+            print(f"adalam eval: {missing} selected pairs are not in {args.matches} "
+                  "and are left out of the counts", file=sys.stderr)
         report = match_prf(sel, gt)
         out.append(report.lines().rstrip("\n"))
     else:

@@ -182,31 +182,41 @@ def fit_affine_lsq(u, v) -> Optional[AffineModel]:
     return AffineModel.from_matrix(b @ inv)
 
 
+def _residuals(a, u, v):
+    """Residuals ||A_t u_k - v_k|| of models a (t, 2, 2) on members (m, 2) -> (t, m)."""
+    ux, uy = u[:, 0], u[:, 1]
+    dx = a[:, 0, 0, None] * ux + a[:, 0, 1, None] * uy - v[:, 0]
+    dy = a[:, 1, 0, None] * ux + a[:, 1, 1, None] * uy - v[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _confidences(rs, r2, eps_residual):
+    """Per-rank confidence of residuals sorted ascending along the last axis."""
+    m = rs.shape[-1]
+    rs = np.maximum(rs, eps_residual * r2)
+    return (np.arange(1, m + 1) * r2 * r2) / (m * rs * rs)
+
+
 def residuals(model: AffineModel, neighborhood: Neighborhood) -> np.ndarray:
     """Per-member reprojection residual ||A u_k - v_k|| in pixels."""
-    a = model.as_matrix()
-    pred = neighborhood.centered1 @ a.T
-    diff = pred - neighborhood.centered2
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    nb = neighborhood
+    return _residuals(model.as_matrix()[None], nb.centered1, nb.centered2)[0]
 
 
 def confidences(resid, r2: float, eps_residual: float = 1e-6):
     """Rank members by residual and score each against the uniform null.
 
-    Returns (order, conf): member indices sorted by residual ascending
-    (stable, ties by index) and, per rank k, the ratio between the observed
-    inlier count k+1 and the count expected from uniformly scattered
-    outliers within radius r2 at the same residual. Residuals are clamped
-    below at eps_residual * r2 before squaring.
+    Returns (order, conf): member indices sorted by residual ascending, with
+    equal residuals ranked by member index, and, per rank k, the ratio
+    between the observed inlier count k+1 and the count expected from
+    uniformly scattered outliers within radius r2 at the same residual.
+    Residuals are clamped below at eps_residual * r2 before squaring.
     """
     if r2 <= 0:
         raise ValueError("confidences: r2 must be > 0")
     resid = np.asarray(resid, dtype=np.float64)
-    m = resid.shape[0]
     order = np.argsort(resid, kind="stable")
-    rs = np.maximum(resid[order], eps_residual * r2)
-    conf = (np.arange(1, m + 1) * r2 * r2) / (m * rs * rs)
-    return order, conf
+    return order, _confidences(resid[order], r2, eps_residual)
 
 
 def select_inliers(order, conf, resid, t_c: float, fixed_threshold=None) -> np.ndarray:
@@ -268,44 +278,40 @@ def _prosac_pairs(u, budget):
     return np.concatenate(keep_i), np.concatenate(keep_j)
 
 
-def _score_models(a, u, v, r2, eps_residual):
-    """Residual-rank and confidence tables for a batch of models.
+def _score_models(a, u, v, r2, params):
+    """Score models a (t, 2, 2) on members u -> v.
 
-    a: (t, 2, 2) models; returns (resid (t, m), order (t, m), conf (t, m)).
+    Returns resid (t, m) per member, rs the same sorted per row, conf (t, m)
+    per rank and counts (t,), the inlier prefix length of each model."""
+    resid = _residuals(a, u, v)
+    rs = np.sort(resid, axis=1)
+    conf = _confidences(rs, r2, params.eps_residual)
+    if params.fixed_threshold is not None:
+        return resid, rs, conf, (rs <= params.fixed_threshold).sum(axis=1)
+    qual = conf >= params.t_c
+    last = conf.shape[1] - np.argmax(qual[:, ::-1], axis=1)
+    return resid, rs, conf, np.where(qual.any(axis=1), last, 0)
+
+
+def _prefix_mask(resid, rs, counts):
+    """Member mask (t, m) of each model's inlier prefix in residual order.
+
+    Both count rules close the prefix under ties: an equal residual has a
+    higher rank, so no lower confidence, and passes the same fixed threshold.
+    The prefix is thus every member at most the count-th smallest residual.
     """
-    pred = np.einsum("tab,mb->tma", a, u)
-    diff = pred - v[None, :, :]
-    resid = np.sqrt(np.einsum("tmi,tmi->tm", diff, diff))
-    order = np.argsort(resid, axis=1, kind="stable")
-    rs = np.maximum(np.take_along_axis(resid, order, axis=1), eps_residual * r2)
-    m = u.shape[0]
-    conf = (np.arange(1, m + 1)[None, :] * r2 * r2) / (m * rs * rs)
-    return resid, order, conf
+    thr = rs[np.arange(rs.shape[0]), np.maximum(counts - 1, 0)]
+    return (resid <= thr[:, None]) & (counts > 0)[:, None]
 
 
-def _counts_from_scores(order, conf, resid, t_c, fixed_threshold):
-    """Per-iteration inlier prefix lengths."""
-    if fixed_threshold is not None:
-        rs = np.take_along_axis(resid, order, axis=1)
-        return (rs <= fixed_threshold).sum(axis=1)
-    qual = conf >= t_c
-    has = qual.any(axis=1)
-    m = conf.shape[1]
-    last = m - np.argmax(qual[:, ::-1], axis=1)
-    return np.where(has, last, 0)
-
-
-def _refit_models(a, u, v, order, counts):
-    """One least-squares refit per iteration on its current inlier prefix.
+def _refit_models(a, u, v, mask, counts):
+    """One least-squares refit per iteration on its inlier mask (t, m).
 
     Iterations whose inlier scatter is rank deficient (or with fewer than
     two inliers) keep their minimal-sample model. Returns the new model
     batch and a mask of the iterations actually refit.
     """
-    t, m = order.shape
-    mask_sorted = np.arange(m)[None, :] < counts[:, None]
-    mask = np.zeros((t, m))
-    np.put_along_axis(mask, order, mask_sorted.astype(np.float64), axis=1)
+    m = u.shape[0]
     prods = np.empty((m, 7))
     prods[:, 0] = u[:, 0] * u[:, 0]
     prods[:, 1] = u[:, 0] * u[:, 1]
@@ -314,7 +320,7 @@ def _refit_models(a, u, v, order, counts):
     prods[:, 4] = v[:, 0] * u[:, 1]
     prods[:, 5] = v[:, 1] * u[:, 0]
     prods[:, 6] = v[:, 1] * u[:, 1]
-    s = mask @ prods
+    s = mask.astype(np.float64) @ prods
     sxx, sxy, syy = s[:, 0], s[:, 1], s[:, 2]
     det = sxx * syy - sxy * sxy
     ok = (counts >= 2) & (det > _SCATTER_REL * (sxx + syy) ** 2)
@@ -355,32 +361,25 @@ def _verify(neighborhood: Neighborhood, params: AdalamParams):
     a[:, 1, 1] = (v[q_idx, 1] * u[p_idx, 0] - v[p_idx, 1] * u[q_idx, 0]) / det
 
     r2 = neighborhood.seed.r2
-    resid, order, conf = _score_models(a, u, v, r2, params.eps_residual)
-    counts = _counts_from_scores(order, conf, resid, params.t_c, params.fixed_threshold)
+    resid, rs, conf, counts = _score_models(a, u, v, r2, params)
 
     if params.use_refit:
-        a2, refit_mask = _refit_models(a, u, v, order, counts)
-        if refit_mask.any():
-            r_r, o_r, c_r = _score_models(a2[refit_mask], u, v, r2, params.eps_residual)
-            n_r = _counts_from_scores(o_r, c_r, r_r, params.t_c, params.fixed_threshold)
-            a[refit_mask] = a2[refit_mask]
-            resid[refit_mask] = r_r
-            order[refit_mask] = o_r
-            conf[refit_mask] = c_r
-            counts = counts.copy()
-            counts[refit_mask] = n_r
+        a, refit = _refit_models(a, u, v, _prefix_mask(resid, rs, counts), counts)
+        if refit.any():
+            resid[refit], _, conf[refit], counts[refit] = _score_models(
+                a[refit], u, v, r2, params
+            )
 
     best = int(np.argmax(counts))
     best_count = int(counts[best])
     if best_count < params.t_n:
         return None, best, best_count
-    inliers = order[best, :best_count]
-    worst_conf = float(conf[best, best_count - 1])
+    inliers = np.argsort(resid[best], kind="stable")[:best_count]
     outcome = IterationOutcome(
         iteration_index=best,
         model=AffineModel.from_matrix(a[best]),
         inlier_member_indices=np.sort(inliers).astype(np.int64),
-        confidence_of_worst_inlier=worst_conf,
+        confidence_of_worst_inlier=float(conf[best, best_count - 1]),
     )
     return outcome, best, best_count
 
@@ -390,10 +389,11 @@ def verify_seed(neighborhood: Neighborhood, params: AdalamParams) -> Optional[It
 
     Minimal samples are drawn in a deterministic confidence-first order over
     the ratio-sorted members, up to params.iterations non-degenerate pairs.
-    Each sample is scored by its adaptive inlier prefix, optionally refit
-    once by least squares on the inliers, and the iteration with the highest
-    final inlier count wins (ties to the earlier iteration). Seeds are
-    rejected below t_n final inliers or with fewer than two members.
+    Each sample is scored by its adaptive inlier prefix in residual order
+    (equal residuals rank by member index), optionally refit once by least
+    squares on the inliers, and the iteration with the highest final inlier
+    count wins (ties to the earlier iteration). Seeds are rejected below t_n
+    final inliers or with fewer than two members.
     """
     outcome, _, _ = _verify(neighborhood, params)
     return outcome

@@ -27,7 +27,6 @@ class SynthConfig:
     n_outliers: int
     noise_sigma: float = 0.0
     descriptor_dim: int = 32
-    inlier_ratio_target: Optional[float] = None  # informational only
     rng_seed: int = 0
     frame_consistent: bool = True
     area_ratio: float = 100.0          # defines the patch disk radius

@@ -3,7 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adalam import AdalamParams, ImageSize, adalam_filter, match_prf, read_matches
+from adalam import (
+    AdalamParams,
+    ImageSize,
+    MatchSet,
+    adalam_filter,
+    match_prf,
+    read_matches,
+    write_matches,
+)
 from adalam.cli import _build_parser, _params_from_args, main
 
 
@@ -143,6 +151,27 @@ class TestPipeline:
         lines = rep.read_text().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) > 1
+
+    def test_eval_reports_pairs_missing_from_matches(self, tmp_path, capsys):
+        mt = tmp_path / "mt.txt"
+        sel = tmp_path / "sel.txt"
+        write_matches(mt, MatchSet(np.array([0, 1, 2]), np.array([0, 1, 2]),
+                                   np.zeros(3), np.full(3, 0.5)),
+                      gt=np.array([True, True, False]))
+        # (0, 0) is known; (1, 5) and (7, 7) are not in the match file
+        write_matches(sel, MatchSet(np.array([0, 1, 7]), np.array([0, 5, 7]),
+                                    np.zeros(3), np.full(3, 0.5)))
+        capsys.readouterr()
+        code, out, err = run(["eval", "--selected", str(sel), "--matches", str(mt)],
+                             capsys)
+        assert code == 0
+        report = dict(ln.split("=") for ln in out.strip().splitlines())
+        assert int(report["true_positives"]) == 1
+        assert "2 selected pairs are not in" in err
+
+        capsys.readouterr()
+        _, _, err = run(["eval", "--selected", str(mt), "--matches", str(mt)], capsys)
+        assert err == ""
 
     def test_eval_errors_mode(self, tmp_path, capsys):
         err = tmp_path / "err.txt"

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -128,6 +130,18 @@ class TestKeypointRoundTrip:
         with pytest.raises(OSError):
             write_keypoints(target, SIZE, make_keypoints(2))
         assert not target.exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_mode_follows_umask(self, tmp_path, umask, mode):
+        kp, mt = tmp_path / "kp.txt", tmp_path / "mt.txt"
+        old = os.umask(umask)
+        try:
+            write_keypoints(kp, SIZE, make_keypoints(2))
+            write_matches(mt, make_matches(2))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(kp.stat().st_mode) == mode
+        assert stat.S_IMODE(mt.stat().st_mode) == mode
 
 
 class TestMatchRoundTrip:

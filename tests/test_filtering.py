@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adalam import (
     AdalamParams,
@@ -21,6 +24,7 @@ from adalam import (
     select_seeds,
     verify_seed,
 )
+from adalam.filtering import _prefix_mask, _score_models
 
 
 def make_matchset(x1, ratios=None):
@@ -473,3 +477,103 @@ class TestVerifySeed:
         nb, _ = self._affine_neighborhood(rng, 10, 0)
         out = verify_seed(nb, AdalamParams())
         assert out.confidence_of_worst_inlier >= AdalamParams().t_c
+
+
+# Property tests: the batched scoring kernel against the stable-argsort
+# definitions, and verify_seed against reference_verify, on degenerate input.
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+GRID = st.integers(-6, 6).map(float)          # small integers: many exact ties
+FLOAT = st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False)
+PARAM_SETS = (
+    AdalamParams(t_n=2),
+    AdalamParams(t_n=2, t_c=5.0),
+    AdalamParams(t_n=3, use_refit=False),
+    AdalamParams(t_n=2, fixed_threshold=1.0),
+    AdalamParams(t_n=2, fixed_threshold=5.0, use_refit=False),
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    t = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 15))
+    coords = draw(st.sampled_from([GRID, FLOAT]))
+    u = draw(hnp.arrays(np.float64, (m, 2), elements=coords))
+    v = draw(hnp.arrays(np.float64, (m, 2), elements=coords))
+    if draw(st.booleans()):  # duplicate members: identical residuals
+        half = m // 2
+        u[half:2 * half], v[half:2 * half] = u[:half], v[:half]
+    entries = draw(st.sampled_from([GRID, FLOAT]))
+    a = draw(hnp.arrays(np.float64, (t, 2, 2), elements=entries))
+    return a, u, v
+
+
+class TestScoringKernelProperties:
+    def test_fixed_threshold_is_inclusive(self):
+        u = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0], [6.0, 8.0]])
+        params = AdalamParams(fixed_threshold=5.0)
+        _, rs, _, counts = _score_models(np.eye(2)[None], u, np.zeros((4, 2)), 50.0, params)
+        assert list(rs[0]) == [0.0, 1.0, 5.0, 10.0]
+        assert list(counts) == [3]
+
+    @PROPERTY
+    @given(kernel_inputs(), st.sampled_from(PARAM_SETS), st.sampled_from([2.0, 50.0]))
+    def test_scores_match_stable_argsort_definition(self, inputs, params, r2):
+        a, u, v = inputs
+        resid, rs, conf, counts = _score_models(a, u, v, r2, params)
+        mask = _prefix_mask(resid, rs, counts)
+        for k in range(a.shape[0]):
+            for j in range(u.shape[0]):
+                expect = math.hypot(*(a[k] @ u[j] - v[j]))
+                assert resid[k, j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            order, conf_k = confidences(resid[k], r2, params.eps_residual)
+            inl = select_inliers(order, conf_k, resid[k], params.t_c, params.fixed_threshold)
+            assert np.array_equal(rs[k], resid[k][order])
+            assert np.array_equal(conf[k], conf_k)
+            assert counts[k] == inl.size
+            assert np.array_equal(np.nonzero(mask[k])[0], np.sort(inl))
+            if 0 < counts[k] < u.shape[0]:  # no tie straddles the prefix end
+                assert rs[k, counts[k]] > rs[k, counts[k] - 1]
+
+
+@st.composite
+def degenerate_neighborhoods(draw):
+    """Seed-centred neighbourhoods: part exact affine inliers, part outliers,
+    with optional duplicate or collinear members, equal ratios and image
+    positions near 1e7 that are centred the way assemble_neighborhood does."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24, 40]))
+    n_in = draw(st.integers(1, m))
+    coords = draw(st.sampled_from([GRID, FLOAT]))
+    layout = draw(st.sampled_from(["free", "duplicate", "collinear"]))
+    u = draw(hnp.arrays(np.float64, (m, 2), elements=coords))
+    if layout == "duplicate":
+        u[m // 2:] = u[: m - m // 2]
+    elif layout == "collinear":
+        u[:, 1] = 2.0 * u[:, 0] + draw(st.sampled_from([0.0, 3.0]))
+    a = draw(hnp.arrays(np.float64, (2, 2), elements=GRID))
+    v = u @ a.T
+    v[n_in:] = draw(hnp.arrays(np.float64, (m - n_in, 2), elements=coords))
+    u[0] = v[0] = 0.0
+    base = draw(st.sampled_from([0.0, 1e7]))
+    x1, x2 = base + u, base + v
+    if draw(st.booleans()):
+        ratios = np.full(m, 0.5)
+    else:
+        ratios = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    return build_neighborhood(x1 - x1[0], x2 - x2[0], ratios=ratios,
+                              r2=draw(st.sampled_from([5.0, 50.0])))
+
+
+class TestVerifySeedProperties:
+    @PROPERTY
+    @given(degenerate_neighborhoods(), st.sampled_from(PARAM_SETS))
+    def test_agrees_with_reference(self, nb, params):
+        expect = reference_verify(nb, params)
+        got = verify_seed(nb, params)
+        if expect is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got.iteration_index == expect[0]
+            assert np.array_equal(got.inlier_member_indices, expect[1])
