@@ -53,8 +53,6 @@ def _add_adalam_flags(p: argparse.ArgumentParser):
                         "adaptive confidence test")
     p.add_argument("--eps-residual", type=float, default=_DEFAULTS.eps_residual,
                    help="residual clamp fraction of the image-2 radius")
-    p.add_argument("--workers", type=int, default=1,
-                   help="seed verification worker threads")
 
 
 def _params_from_args(args) -> AdalamParams:
@@ -176,8 +174,7 @@ def _cmd_filter(args) -> int:
         sel = np.nonzero(np.isin(matches.idx1, kept.idx1))[0]
     else:
         params = _params_from_args(args)
-        result = adalam_filter(k1, k2, size1, size2, matches, params,
-                               n_workers=args.workers)
+        result = adalam_filter(k1, k2, size1, size2, matches, params)
         sel = result.selected
         kept = matches.take(sel)
         if args.report:

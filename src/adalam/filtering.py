@@ -6,13 +6,12 @@ each neighborhood with a deterministic fixed-budget RANSAC over centered
 2x2 affine models, marking inliers by statistical significance against a
 uniform-outlier null model instead of a fixed pixel threshold.
 
-All stages are pure functions of immutable inputs. Seed verification is an
-independent work item per seed; results are identical for any worker count.
+All stages are pure functions of immutable inputs, and each seed is verified
+independently of the others.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,20 +76,6 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     return np.nonzero(~suppressed)[0].astype(np.int64)
 
 
-def _member_mask(cand, x1, x2, alpha_t, logsig_t, seed_idx, lam_r1, lam_r2, params):
-    """Boolean mask over cand for neighborhood membership around seed_idx."""
-    d1 = x1[cand] - x1[seed_idx]
-    d2 = x2[cand] - x2[seed_idx]
-    ok = (np.einsum("ij,ij->i", d1, d1) <= lam_r1 * lam_r1) & (
-        np.einsum("ij,ij->i", d2, d2) <= lam_r2 * lam_r2
-    )
-    if params.use_side_info:
-        da = np.abs(wrap_angle(alpha_t[seed_idx] - alpha_t[cand]))
-        ds = np.abs(logsig_t[seed_idx] - logsig_t[cand])
-        ok &= (da <= params.t_alpha) & (ds <= params.t_sigma)
-    return ok
-
-
 def _transform_arrays(matches: MatchSet, k1: KeypointSet, k2: KeypointSet):
     """Per-match positions and induced similarity transform components."""
     x1 = k1.xy[matches.idx1]
@@ -100,17 +85,27 @@ def _transform_arrays(matches: MatchSet, k1: KeypointSet, k2: KeypointSet):
     return x1, x2, alpha_t, logsig_t
 
 
-def _build_neighborhood(seed, matches, x1, x2, cand_members):
-    """Assemble a Neighborhood from already-filtered member match indices."""
-    order = np.lexsort((cand_members, matches.ratio[cand_members]))
-    members = cand_members[order]
-    si = seed.match_index
-    return Neighborhood(
-        seed=seed,
-        members=members,
-        centered1=x1[members] - x1[si],
-        centered2=x2[members] - x2[si],
+def _members(cand, si, arrays, ratio, lam_r1, lam_r2, params):
+    """Neighborhood members of seed si among the candidate match indices.
+
+    arrays is the tuple from _transform_arrays. A candidate is a member when
+    it passes the spatial gates of both images and, with side information,
+    the orientation and scale gates; the seed always is. Members come out
+    ordered by ratio ascending, ties by match index.
+    """
+    x1, x2, alpha_t, logsig_t = arrays
+    d1 = x1[cand] - x1[si]
+    d2 = x2[cand] - x2[si]
+    ok = (np.einsum("ij,ij->i", d1, d1) <= lam_r1 * lam_r1) & (
+        np.einsum("ij,ij->i", d2, d2) <= lam_r2 * lam_r2
     )
+    if params.use_side_info:
+        da = np.abs(wrap_angle(alpha_t[si] - alpha_t[cand]))
+        ds = np.abs(logsig_t[si] - logsig_t[cand])
+        ok &= (da <= params.t_alpha) & (ds <= params.t_sigma)
+    ok |= cand == si
+    members = cand[ok]
+    return members[np.lexsort((members, ratio[members]))]
 
 
 def assemble_neighborhood(
@@ -131,14 +126,18 @@ def assemble_neighborhood(
     si = int(seed.match_index)
     if not (0 <= si < len(matches)):
         raise ValueError("assemble_neighborhood: seed match index out of range")
-    x1, x2, alpha_t, logsig_t = _transform_arrays(matches, k1, k2)
-    cand = np.arange(len(matches), dtype=np.int64)
-    ok = _member_mask(
-        cand, x1, x2, alpha_t, logsig_t, si,
+    arrays = _transform_arrays(matches, k1, k2)
+    members = _members(
+        np.arange(len(matches), dtype=np.int64), si, arrays, matches.ratio,
         params.lam * seed.r1, params.lam * seed.r2, params,
     )
-    ok[si] = True
-    return _build_neighborhood(seed, matches, x1, x2, cand[ok])
+    x1, x2 = arrays[:2]
+    return Neighborhood(
+        seed=seed,
+        members=members,
+        centered1=x1[members] - x1[si],
+        centered2=x2[members] - x2[si],
+    )
 
 
 def fit_affine_minimal(u_p, v_p, u_q, v_q) -> Optional[AffineModel]:
@@ -247,35 +246,20 @@ def _prosac_pairs(u, budget):
     """
     m = u.shape[0]
     norms2 = np.einsum("ij,ij->i", u, u)
-    keep_i = []
-    keep_j = []
-    got = 0
-    n_lo = 1
-    while n_lo < m and got < budget:
-        # Candidate block: enough n values to likely cover the deficit.
-        need = budget - got
-        n_hi = n_lo
-        total = 0
-        while n_hi < m and total < 2 * need + 8:
-            total += n_hi
-            n_hi += 1
-        ns = np.arange(n_lo, n_hi)
-        j = np.repeat(ns, ns)
-        offsets = np.concatenate([[0], np.cumsum(ns)[:-1]])
-        i = np.arange(j.shape[0]) - np.repeat(offsets, ns)
+    # The pairs among the first n members, in the order above, are the
+    # nonzeros of the strictly lower triangle (np.tril_indices, minus its
+    # overhead). Start from the fewest members whose pairs, leaving out the
+    # seed's, which sits at the origin and is always degenerate, number
+    # `budget`, and double.
+    n = min(m, (math.isqrt(8 * budget) + 5) // 2)
+    while True:
+        j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))
         det = u[i, 0] * u[j, 1] - u[i, 1] * u[j, 0]
         lim = _DEGEN_REL * np.maximum(norms2[i], norms2[j])
-        ok = (np.abs(det) >= lim) & (det != 0.0)
-        ki, kj = i[ok], j[ok]
-        if ki.shape[0] > need:
-            ki, kj = ki[:need], kj[:need]
-        keep_i.append(ki)
-        keep_j.append(kj)
-        got += ki.shape[0]
-        n_lo = n_hi
-    if not keep_i:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(keep_i), np.concatenate(keep_j)
+        ok = np.flatnonzero((np.abs(det) >= lim) & (det != 0.0))[:budget]
+        if ok.shape[0] == budget or n == m:
+            return i[ok], j[ok]
+        n = min(2 * n, m)
 
 
 def _score_models(a, u, v, r2, params):
@@ -337,21 +321,22 @@ def _refit_models(a, u, v, mask, counts):
     return a, ok
 
 
-def _verify(neighborhood: Neighborhood, params: AdalamParams):
-    """Run the deterministic verification on one neighborhood.
+def _verify(u, v, r2, params: AdalamParams):
+    """Run the deterministic verification on seed-centered members u -> v.
 
-    Returns (outcome, best_iteration, best_count); outcome is None when the
-    seed is rejected. best_iteration is -1 when no minimal sample existed.
+    Returns (best_iteration, best_count, model, inliers, worst_conf): the
+    winning iteration (-1 when no minimal sample existed) and its inlier
+    count; for an accepted seed also its 2x2 model, its inlier member
+    indices in ascending order and the confidence of its worst inlier.
+    These three are None when the seed is rejected.
     """
-    u = neighborhood.centered1
-    v = neighborhood.centered2
     m = u.shape[0]
     if m < 2:
-        return None, -1, 0
+        return -1, 0, None, None, None
     p_idx, q_idx = _prosac_pairs(u, params.iterations)
     t = p_idx.shape[0]
     if t == 0:
-        return None, -1, 0
+        return -1, 0, None, None, None
     det = u[p_idx, 0] * u[q_idx, 1] - u[p_idx, 1] * u[q_idx, 0]
     a = np.empty((t, 2, 2))
     # A = [v_p v_q] [u_p u_q]^-1, expanded componentwise.
@@ -360,7 +345,6 @@ def _verify(neighborhood: Neighborhood, params: AdalamParams):
     a[:, 1, 0] = (v[p_idx, 1] * u[q_idx, 1] - v[q_idx, 1] * u[p_idx, 1]) / det
     a[:, 1, 1] = (v[q_idx, 1] * u[p_idx, 0] - v[p_idx, 1] * u[q_idx, 0]) / det
 
-    r2 = neighborhood.seed.r2
     resid, rs, conf, counts = _score_models(a, u, v, r2, params)
 
     if params.use_refit:
@@ -373,15 +357,9 @@ def _verify(neighborhood: Neighborhood, params: AdalamParams):
     best = int(np.argmax(counts))
     best_count = int(counts[best])
     if best_count < params.t_n:
-        return None, best, best_count
-    inliers = np.argsort(resid[best], kind="stable")[:best_count]
-    outcome = IterationOutcome(
-        iteration_index=best,
-        model=AffineModel.from_matrix(a[best]),
-        inlier_member_indices=np.sort(inliers).astype(np.int64),
-        confidence_of_worst_inlier=float(conf[best, best_count - 1]),
-    )
-    return outcome, best, best_count
+        return best, best_count, None, None, None
+    inliers = np.sort(np.argsort(resid[best], kind="stable")[:best_count])
+    return best, best_count, a[best], inliers, float(conf[best, best_count - 1])
 
 
 def verify_seed(neighborhood: Neighborhood, params: AdalamParams) -> Optional[IterationOutcome]:
@@ -395,8 +373,13 @@ def verify_seed(neighborhood: Neighborhood, params: AdalamParams) -> Optional[It
     count wins (ties to the earlier iteration). Seeds are rejected below t_n
     final inliers or with fewer than two members.
     """
-    outcome, _, _ = _verify(neighborhood, params)
-    return outcome
+    nb = neighborhood
+    best, _, model, inliers, worst = _verify(
+        nb.centered1, nb.centered2, nb.seed.r2, params
+    )
+    if inliers is None:
+        return None
+    return IterationOutcome(best, AffineModel.from_matrix(model), inliers, worst)
 
 
 def adalam_filter(
@@ -406,12 +389,12 @@ def adalam_filter(
     size2: ImageSize,
     matches: MatchSet,
     params: Optional[AdalamParams] = None,
-    n_workers: int = 1,
 ) -> FilterResult:
     """Filter putative matches by hierarchical adaptive affine verification.
 
     Returns the sorted union of the inliers of all accepted seeds, plus one
-    diagnostic record per seed. Deterministic for any n_workers.
+    diagnostic record per seed. The result equals running select_seeds,
+    assemble_neighborhood and verify_seed on every seed in turn.
     """
     if params is None:
         params = AdalamParams()
@@ -422,44 +405,21 @@ def adalam_filter(
 
     r1 = compute_radius(size1, params.area_ratio)
     r2 = compute_radius(size2, params.area_ratio)
-    seed_indices = select_seeds(matches, k1, r1)
-
-    x1, x2, alpha_t, logsig_t = _transform_arrays(matches, k1, k2)
+    arrays = _transform_arrays(matches, k1, k2)
+    x1, x2 = arrays[:2]
     tree1 = cKDTree(x1)
     lam_r1 = params.lam * r1
     lam_r2 = params.lam * r2
 
-    def run_seed(si: int):
-        cand = np.asarray(
-            tree1.query_ball_point(x1[si], lam_r1), dtype=np.int64
+    reports = []
+    kept = [np.zeros(0, dtype=np.int64)]
+    for si in select_seeds(matches, k1, r1).tolist():
+        cand = np.asarray(tree1.query_ball_point(x1[si], lam_r1), dtype=np.int64)
+        members = _members(cand, si, arrays, matches.ratio, lam_r1, lam_r2, params)
+        best, count, _, inliers, _ = _verify(
+            x1[members] - x1[si], x2[members] - x2[si], r2, params
         )
-        ok = _member_mask(cand, x1, x2, alpha_t, logsig_t, si, lam_r1, lam_r2, params)
-        ok[cand == si] = True
-        seed = Seed(match_index=int(si), r1=r1, r2=r2)
-        nb = _build_neighborhood(seed, matches, x1, x2, cand[ok])
-        outcome, best_it, best_count = _verify(nb, params)
-        report = SeedReport(
-            seed_match_index=int(si),
-            best_iteration=best_it,
-            best_inlier_count=best_count,
-            accepted=outcome is not None,
-        )
-        inliers = (
-            nb.members[outcome.inlier_member_indices]
-            if outcome is not None
-            else np.zeros(0, dtype=np.int64)
-        )
-        return report, inliers
-
-    if n_workers > 1 and seed_indices.size > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_seed, seed_indices))
-    else:
-        results = [run_seed(si) for si in seed_indices]
-
-    reports = tuple(rep for rep, _ in results)
-    if results:
-        union = np.unique(np.concatenate([inl for _, inl in results]))
-    else:
-        union = np.zeros(0, dtype=np.int64)
-    return FilterResult(selected=union.astype(np.int64), seed_reports=reports)
+        reports.append(SeedReport(si, best, count, inliers is not None))
+        if inliers is not None:
+            kept.append(members[inliers])
+    return FilterResult(selected=np.unique(np.concatenate(kept)), seed_reports=reports)

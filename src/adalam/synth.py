@@ -97,6 +97,12 @@ def _sample_centers(rng, n, xband, yband, min_sep):
             c = np.array([rng.uniform(*xband), rng.uniform(*yband)])
             if k == 0 or np.all(np.linalg.norm(centers[:k] - c, axis=1) >= min_sep):
                 break
+        else:
+            raise ValueError(
+                f"generate_scene: 1000 draws found no center for patch {k + 1} "
+                f"of {n} at least {min_sep:.6g} px from the others; "
+                "use fewer patches or a larger image"
+            )
         centers[k] = c
     return centers
 
@@ -115,7 +121,9 @@ def generate_scene(config: SynthConfig) -> SynthScene:
     reprojection invariant exact. With frame_consistent, second-image
     orientations and scales follow the patch affine's polar rotation angle
     and sqrt-determinant; otherwise they are random. Outliers are uniform
-    over both full image extents with unrelated descriptors.
+    over both full image extents with unrelated descriptors. Patch centers
+    in image 1 lie min_center_separation seed radii apart; a ValueError is
+    raised when the image has no room for that many patches.
     """
     rng = np.random.default_rng(config.rng_seed)
     n_in = config.n_patches * config.keypoints_per_patch

@@ -114,8 +114,7 @@ class TestPipeline:
         for name in ("a.txt", "b.txt"):
             out = tmp_path / name
             assert run(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
-                        "--matches", str(mt), "--out", str(out),
-                        "--workers", "4"]) == 0
+                        "--matches", str(mt), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -202,6 +201,8 @@ class TestPipeline:
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert main(["filter", "--bogus"]) == 1
+        assert main(["filter", "--keypoints1", "a", "--keypoints2", "b",
+                     "--matches", "c", "--out", "d", "--workers", "2"]) == 1
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -223,6 +224,16 @@ class TestExitCodes:
                      "--matches", str(bad), "--out", str(tmp_path / "o.txt")])
         assert code == 2
         assert "bad.txt:1" in capsys.readouterr().err
+
+    def test_synth_without_room_for_patches(self, tmp_path, capsys):
+        kp1 = tmp_path / "kp1.txt"
+        code = main(["synth", "--patches", "60", "--keypoints-per-patch", "160",
+                     "--outliers", "4800", "--out-keypoints1", str(kp1),
+                     "--out-keypoints2", str(tmp_path / "kp2.txt"),
+                     "--out-matches", str(tmp_path / "mt.txt")])
+        assert code == 2
+        assert "patch 40 of 60" in capsys.readouterr().err
+        assert not kp1.exists()
 
     def test_eval_without_inputs(self, capsys):
         assert main(["eval"]) == 2

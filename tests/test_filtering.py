@@ -24,7 +24,7 @@ from adalam import (
     select_seeds,
     verify_seed,
 )
-from adalam.filtering import _prefix_mask, _score_models
+from adalam.filtering import _prefix_mask, _prosac_pairs, _score_models
 
 
 def make_matchset(x1, ratios=None):
@@ -491,6 +491,8 @@ PARAM_SETS = (
     AdalamParams(t_n=3, use_refit=False),
     AdalamParams(t_n=2, fixed_threshold=1.0),
     AdalamParams(t_n=2, fixed_threshold=5.0, use_refit=False),
+    AdalamParams(t_n=2, iterations=5),   # small budgets stop inside a window
+    AdalamParams(t_n=2, iterations=37),  # or widen past degenerate pairs
 )
 
 
@@ -566,6 +568,15 @@ def degenerate_neighborhoods(draw):
 
 
 class TestVerifySeedProperties:
+    @PROPERTY
+    @given(degenerate_neighborhoods(), st.sampled_from([1, 5, 37, 128]))
+    def test_samples_are_the_first_valid_pairs(self, nb, budget):
+        u, v = nb.centered1, nb.centered2
+        expect = [(i, n) for n in range(1, len(nb)) for i in range(n)
+                  if fit_affine_minimal(u[i], v[i], u[n], v[n]) is not None]
+        p_idx, q_idx = _prosac_pairs(u, budget)
+        assert list(zip(p_idx.tolist(), q_idx.tolist())) == expect[:budget]
+
     @PROPERTY
     @given(degenerate_neighborhoods(), st.sampled_from(PARAM_SETS))
     def test_agrees_with_reference(self, nb, params):

@@ -115,6 +115,14 @@ class TestGenerateScene:
             s = np.linalg.svd(a, compute_uv=False)
             assert s[0] / s[1] <= 10.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_room_for_patches_raises(self, seed):
+        # 60 patches 2.2 seed radii apart crowd a 1000x1000 image
+        cfg = config(n_patches=60, keypoints_per_patch=160, n_outliers=4800,
+                     rng_seed=seed)
+        with pytest.raises(ValueError, match=r"patch \d+ of 60"):
+            generate_scene(cfg)
+
     def test_outlier_only_scene(self):
         sc = generate_scene(config(n_patches=0, keypoints_per_patch=0, n_outliers=50))
         assert len(sc.matches) == 50
