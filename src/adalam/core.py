@@ -23,11 +23,16 @@ def wrap_angle(theta):
     arr = np.asarray(theta, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_angle: angle must be finite")
-    r = np.remainder(arr, TWO_PI)
-    r = np.where(r > math.pi, r - TWO_PI, r)
+    r = _wrap_angle(arr)
     if r.ndim == 0:
         return float(r)
     return r
+
+
+def _wrap_angle(arr: np.ndarray) -> np.ndarray:
+    """wrap_angle of a float64 array already known to be finite, unchecked."""
+    r = np.remainder(arr, TWO_PI)
+    return np.where(r > math.pi, r - TWO_PI, r)
 
 
 def _as_float_array(x, name, ndim):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,10 +29,6 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _atomic_write(path, text: str):
@@ -55,13 +52,9 @@ def write_keypoints(path, size: ImageSize, kps: KeypointSet):
     rows = [f"{KEYPOINT_MAGIC} {FORMAT_VERSION} {len(kps)} {kps.dim} "
             f"{size.width} {size.height}"]
     alpha = wrap_angle(kps.alpha) if len(kps) else kps.alpha
-    for k in range(len(kps)):
-        fields = [
-            _fmt(kps.xy[k, 0]), _fmt(kps.xy[k, 1]),
-            _fmt(kps.sigma[k]), _fmt(alpha[k]),
-        ]
-        fields.extend(_fmt(v) for v in kps.desc[k])
-        rows.append(" ".join(fields))
+    data = np.column_stack((kps.xy, kps.sigma, alpha, kps.desc))
+    fmt = " ".join(["%.9g"] * data.shape[1])
+    rows.extend(fmt % tuple(r) for r in data.tolist())
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -87,17 +80,46 @@ def read_keypoints(path) -> Tuple[ImageSize, KeypointSet]:
         raise ParseError(path, 1, "invalid count or descriptor dimension")
     size = ImageSize(width, height)
 
-    data = np.empty((count, 4 + dim))
-    body = [ln for ln in lines[1:]]
+    data = _load_rows(lines[1:], count, 4 + dim)
+    if data is None:
+        data = _parse_rows(path, lines, count, 4 + dim)
+    kps = KeypointSet(
+        xy=data[:, 0:2], sigma=data[:, 2], alpha=data[:, 3], desc=data[:, 4:]
+    )
+    return size, kps
+
+
+def _load_rows(body, count, ncol) -> Optional[np.ndarray]:
+    """The (count, ncol) finite float rows of body, or None to parse them
+    row by row.
+
+    body holds the lines after the header, as str.splitlines cut them.
+    np.loadtxt splits fields on the same whitespace as str.split and parses
+    floats as float() does, except that it refuses '_' digit separators and
+    non-ASCII digits; whatever it refuses goes to the row parser too."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            data = np.loadtxt(body, comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if data.shape != (count, ncol) or not np.all(np.isfinite(data)):
+        return None
+    return data
+
+
+def _parse_rows(path, lines, count, ncol) -> np.ndarray:
+    """Rows of a keypoint file's lines, raising ParseError at the first fault."""
+    data = np.empty((count, ncol))
     row = 0
-    for offset, ln in enumerate(body, start=2):
+    for offset, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         if row >= count:
             raise ParseError(path, offset, f"more rows than declared count {count}")
         fields = ln.split()
-        if len(fields) != 4 + dim:
-            raise ParseError(path, offset, f"expected {4 + dim} fields, got {len(fields)}")
+        if len(fields) != ncol:
+            raise ParseError(path, offset, f"expected {ncol} fields, got {len(fields)}")
         try:
             data[row] = [float(v) for v in fields]
         except ValueError:
@@ -107,10 +129,7 @@ def read_keypoints(path) -> Tuple[ImageSize, KeypointSet]:
         row += 1
     if row != count:
         raise ParseError(path, len(lines) + 1, f"expected {count} rows, found {row}")
-    kps = KeypointSet(
-        xy=data[:, 0:2], sigma=data[:, 2], alpha=data[:, 3], desc=data[:, 4:]
-    )
-    return size, kps
+    return data
 
 
 def write_matches(path, matches: MatchSet, gt: Optional[np.ndarray] = None):
@@ -120,14 +139,13 @@ def write_matches(path, matches: MatchSet, gt: Optional[np.ndarray] = None):
         if gt.shape != (len(matches),):
             raise ValueError("write_matches: gt length must equal match count")
     rows = [f"{MATCH_MAGIC} {FORMAT_VERSION} {len(matches)} {int(has_gt)}"]
-    for k in range(len(matches)):
-        fields = [
-            str(matches.idx1[k]), str(matches.idx2[k]),
-            _fmt(matches.dist[k]), _fmt(matches.ratio[k]),
-        ]
-        if has_gt:
-            fields.append(str(int(gt[k])))
-        rows.append(" ".join(fields))
+    cols = [matches.idx1.tolist(), matches.idx2.tolist(),
+            matches.dist.tolist(), matches.ratio.tolist()]
+    fmt = "%d %d %.9g %.9g"
+    if has_gt:
+        cols.append(gt.astype(np.int64).tolist())
+        fmt += " %d"
+    rows.extend(fmt % r for r in zip(*cols))
     _atomic_write(path, "\n".join(rows) + "\n")
 
 

@@ -6,6 +6,10 @@ each neighborhood with a deterministic fixed-budget RANSAC over centered
 2x2 affine models, marking inliers by statistical significance against a
 uniform-outlier null model instead of a fixed pixel threshold.
 
+Spatial lookups use square grids over image-1 positions, in plain NumPy:
+cells just under r1 / sqrt(2) wide for the seed NMS, and just over lam * r1
+wide for the neighbourhood candidates, whose exact gates come after.
+
 All stages are pure functions of immutable inputs, and each seed is verified
 independently of the others.
 """
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (
     AdalamParams,
@@ -28,11 +31,13 @@ from .core import (
     Neighborhood,
     Seed,
     SeedReport,
-    wrap_angle,
+    _wrap_angle,
 )
 
 _DEGEN_REL = 1e-9      # minimal-sample degeneracy: |det| vs max source norm^2
 _SCATTER_REL = 1e-12   # least-squares scatter rank test: det vs trace^2
+_GRID_SLACK = 1e-5     # relative margin of grid cell sides over rounding
+_GRID_MAX_CELLS = 2**31  # cells per axis: int64 keys, rounding << _GRID_SLACK
 
 
 @dataclass(frozen=True)
@@ -52,12 +57,42 @@ def compute_radius(size: ImageSize, area_ratio: float) -> float:
     return math.sqrt(size.area / (math.pi * area_ratio))
 
 
+def _grid_keys(pos, side, pad):
+    """Cell keys of positions (m, 2) on a square grid of cells of this side.
+
+    The key of cell (cx, cy) is cx * width + cy + pad, so the cell dx, dy
+    away has key + dx * width + dy for |dx|, |dy| <= pad. Returns (keys,
+    width). Positions spanning more than _GRID_MAX_CELLS cells on an axis
+    raise ValueError: beyond that, keys could overflow int64 and rounding
+    of the cell coordinates could reach the cells' _GRID_SLACK margin.
+    """
+    lo = pos.min(axis=0)
+    with np.errstate(all="ignore"):  # an infinite or NaN cell count is refused below
+        span = pos.max(axis=0) - lo
+        if not np.all(span / side < _GRID_MAX_CELLS):
+            raise ValueError(
+                f"keypoint positions span {span[0]:g} x {span[1]:g} px, more than "
+                f"{_GRID_MAX_CELLS} grid cells of side {side:g} px"
+            )
+    cell = np.floor((pos - lo) / side).astype(np.int64)
+    width = int(cell[:, 1].max()) + 1 + 2 * pad
+    return cell[:, 0] * width + (cell[:, 1] + pad), width
+
+
 def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     """Non-maximum suppression of matches by confidence over image-1 positions.
 
-    A match survives iff no other match within radius r1 (inclusive) has
-    strictly higher confidence 1 - ratio, with score ties won by the lower
-    match index. Returns the surviving match indices, sorted ascending.
+    A match survives iff no other match within radius r1 (inclusive, by
+    dx*dx + dy*dy <= r1*r1) has strictly higher confidence 1 - ratio, with
+    score ties won by the lower match index. Returns the surviving match
+    indices, sorted ascending. Positions spanning more than 2**31 cells of
+    side r1 / sqrt(2) on an axis raise ValueError (see _grid_keys).
+
+    Matches are binned on a grid of cells just under r1 / sqrt(2) wide, so
+    two matches in one cell are always within r1 and only each cell's best
+    match can survive. A cell best that beats the bests of its 5x5 block of
+    cells, which holds every match within r1 of it, survives; the others
+    are tested exactly against the better matches of that block.
     """
     if r1 <= 0:
         raise ValueError("select_seeds: r1 must be > 0")
@@ -65,22 +100,42 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     if m == 0:
         return np.zeros(0, dtype=np.int64)
     pos = k1.xy[matches.idx1]
-    conf = 1.0 - matches.ratio
-    pairs = cKDTree(pos).query_pairs(r1, output_type="ndarray")
+    # rank 0 is the most confident match; equal confidences rank by index.
+    by_rank = np.argsort(-(1.0 - matches.ratio), kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_rank] = np.arange(m)
+    key, width = _grid_keys(pos, r1 * (1.0 - _GRID_SLACK) / math.sqrt(2.0), 2)
+    order = by_rank[np.argsort(key[by_rank], kind="stable")]  # by cell, then rank
+    skey = key[order]
+    start = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
+    end = np.r_[start[1:], m]
+    cells = skey[start]
+    best = order[start]
+    best_rank = rank[best]
+
+    block = np.array([dx * width + dy for dx in range(-2, 3) for dy in range(-2, 3)
+                      if dx or dy])
+    nbr = cells[:, None] + block
+    at = np.minimum(np.searchsorted(cells, nbr), cells.shape[0] - 1)
+    better = (cells[at] == nbr) & (best_rank[at] < best_rank[:, None])
+    open_ = np.flatnonzero(better.any(axis=1))
+    # Gather every match of the better cells around each open cell best.
+    lo = np.where(better[open_], start[at[open_]], 0).ravel()
+    lens = np.where(better[open_], end[at[open_]], 0).ravel() - lo
+    owner = np.repeat(np.repeat(best[open_], block.shape[0]), lens)
+    other = order[np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+    d = pos[other] - pos[owner]
+    hit = (rank[other] < rank[owner]) & (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r1 * r1)
     suppressed = np.zeros(m, dtype=bool)
-    if pairs.size:
-        i, j = pairs[:, 0], pairs[:, 1]   # i < j
-        ci, cj = conf[i], conf[j]
-        suppressed[j[ci >= cj]] = True
-        suppressed[i[cj > ci]] = True
-    return np.nonzero(~suppressed)[0].astype(np.int64)
+    suppressed[owner[hit]] = True
+    return np.sort(best[~suppressed[best]])
 
 
 def _transform_arrays(matches: MatchSet, k1: KeypointSet, k2: KeypointSet):
     """Per-match positions and induced similarity transform components."""
     x1 = k1.xy[matches.idx1]
     x2 = k2.xy[matches.idx2]
-    alpha_t = wrap_angle(k2.alpha[matches.idx2] - k1.alpha[matches.idx1])
+    alpha_t = _wrap_angle(k2.alpha[matches.idx2] - k1.alpha[matches.idx1])
     logsig_t = np.log(k2.sigma[matches.idx2]) - np.log(k1.sigma[matches.idx1])
     return x1, x2, alpha_t, logsig_t
 
@@ -95,16 +150,14 @@ def _members(cand, si, arrays, ratio, lam_r1, lam_r2, params):
     """
     x1, x2, alpha_t, logsig_t = arrays
     d1 = x1[cand] - x1[si]
+    cand = cand[np.einsum("ij,ij->i", d1, d1) <= lam_r1 * lam_r1]
     d2 = x2[cand] - x2[si]
-    ok = (np.einsum("ij,ij->i", d1, d1) <= lam_r1 * lam_r1) & (
-        np.einsum("ij,ij->i", d2, d2) <= lam_r2 * lam_r2
-    )
+    ok = np.einsum("ij,ij->i", d2, d2) <= lam_r2 * lam_r2
     if params.use_side_info:
-        da = np.abs(wrap_angle(alpha_t[si] - alpha_t[cand]))
+        da = np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand]))
         ds = np.abs(logsig_t[si] - logsig_t[cand])
         ok &= (da <= params.t_alpha) & (ds <= params.t_sigma)
-    ok |= cand == si
-    members = cand[ok]
+    members = cand[ok | (cand == si)]
     return members[np.lexsort((members, ratio[members]))]
 
 
@@ -394,7 +447,8 @@ def adalam_filter(
 
     Returns the sorted union of the inliers of all accepted seeds, plus one
     diagnostic record per seed. The result equals running select_seeds,
-    assemble_neighborhood and verify_seed on every seed in turn.
+    assemble_neighborhood and verify_seed on every seed in turn; like
+    select_seeds, it raises ValueError on positions spanning too many cells.
     """
     if params is None:
         params = AdalamParams()
@@ -407,14 +461,26 @@ def adalam_filter(
     r2 = compute_radius(size2, params.area_ratio)
     arrays = _transform_arrays(matches, k1, k2)
     x1, x2 = arrays[:2]
-    tree1 = cKDTree(x1)
     lam_r1 = params.lam * r1
     lam_r2 = params.lam * r2
+    seeds = select_seeds(matches, k1, r1)
+
+    # Neighbourhood candidates: with cells just over lam * r1 wide, the 3x3
+    # block of cells around a seed's cell covers its lam * r1 disk, and each
+    # row of the block is one range of keys. _members applies the exact gates.
+    key, width = _grid_keys(x1, lam_r1 * (1.0 + _GRID_SLACK), 1)
+    order = np.argsort(key)
+    skey = key[order]
+    rows = key[seeds, None] + width * np.arange(-1, 2)
+    lo = np.searchsorted(skey, rows - 1, side="left").tolist()
+    hi = np.searchsorted(skey, rows + 1, side="right").tolist()
 
     reports = []
     kept = [np.zeros(0, dtype=np.int64)]
-    for si in select_seeds(matches, k1, r1).tolist():
-        cand = np.asarray(tree1.query_ball_point(x1[si], lam_r1), dtype=np.int64)
+    for si, a, b in zip(seeds.tolist(), lo, hi):
+        cand = np.concatenate(
+            (order[a[0]:b[0]], order[a[1]:b[1]], order[a[2]:b[2]])
+        )
         members = _members(cand, si, arrays, matches.ratio, lam_r1, lam_r2, params)
         best, count, _, inliers, _ = _verify(
             x1[members] - x1[si], x2[members] - x2[si], r2, params

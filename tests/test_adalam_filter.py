@@ -142,7 +142,35 @@ def _duplicated(xy, seed):
     return xy
 
 
-# Each variant maps (k1, k2, matches) to a scene with ties or huge positions.
+def _at_lam_r1(k1, k2, m):
+    """Move twelve matches exactly lam * r1 from the most confident match,
+    which is always a seed: three onto each of the four axis directions, in
+    both images (r1 = r2 here). They take the seed's orientation and scale
+    and the next ratio after its, so with the seed they form an exact
+    identity neighbourhood that verification samples first."""
+    lam_r1 = AdalamParams().lam * compute_radius(SIZE, AdalamParams().area_ratio)
+    s = int(np.argmin(m.ratio))
+    movers = [j for j in range(len(m)) if j != s][:12]
+    xy1, xy2 = k1.xy.copy(), k2.xy.copy()
+    sigma1, sigma2 = k1.sigma.copy(), k2.sigma.copy()
+    alpha1, alpha2 = k1.alpha.copy(), k2.alpha.copy()
+    ratio = m.ratio.copy()
+    i1, i2 = m.idx1, m.idx2
+    # Coordinates lam_r1 +- lam_r1 are exact, so each offset is exactly lam_r1.
+    xy1[i1[s]] = xy2[i2[s]] = (lam_r1, lam_r1)
+    steps = [(lam_r1, 0.0), (-lam_r1, 0.0), (0.0, lam_r1), (0.0, -lam_r1)] * 3
+    for j, (dx, dy) in zip(movers, steps):
+        xy1[i1[j]] = xy2[i2[j]] = (lam_r1 + dx, lam_r1 + dy)
+        sigma1[i1[j]], sigma2[i2[j]] = sigma1[i1[s]], sigma2[i2[s]]
+        alpha1[i1[j]], alpha2[i2[j]] = alpha1[i1[s]], alpha2[i2[s]]
+        ratio[j] = np.nextafter(ratio[s], 1.0)
+    return (KeypointSet(xy1, sigma1, alpha1, k1.desc),
+            KeypointSet(xy2, sigma2, alpha2, k2.desc),
+            _reratio(m, ratio))
+
+
+# Each variant maps (k1, k2, matches) to a scene with ties, huge positions
+# or members exactly on the neighbourhood radius.
 REPLAY_VARIANTS = {
     "plain": lambda k1, k2, m: (k1, k2, m),
     "quantised-1": _quantised(1),
@@ -153,6 +181,7 @@ REPLAY_VARIANTS = {
     "equal-ratios": lambda k1, k2, m: (k1, k2, _reratio(m, np.full(len(m), 0.5))),
     "rounded-ratios": lambda k1, k2, m: (k1, k2, _reratio(m, np.round(m.ratio, 1))),
     "offset-1e7": lambda k1, k2, m: (_moved(k1, k1.xy + 1e7), _moved(k2, k2.xy + 1e7), m),
+    "at-lam-r1": _at_lam_r1,
 }
 
 
@@ -163,10 +192,14 @@ REPLAY_VARIANTS = {
     AdalamParams(fixed_threshold=3.0, t_n=2),
 ], ids=["defaults", "no-side-info", "fixed-3"])
 def test_filter_equals_replay_through_public_stages(variant, params):
-    """adalam_filter finds neighbourhood candidates with a KD-tree; the
-    public assemble_neighborhood scans every match. Both must agree."""
+    """adalam_filter finds neighbourhood candidates on a grid of cells about
+    lam * r1 wide; the public assemble_neighborhood scans every match. Both
+    must agree."""
     sc = scene(seed=12, noise_sigma=1.0)
-    k1, k2, matches = REPLAY_VARIANTS[variant](sc.k1, sc.k2, sc.matches)
+    assert_filter_equals_replay(*REPLAY_VARIANTS[variant](sc.k1, sc.k2, sc.matches), params)
+
+
+def assert_filter_equals_replay(k1, k2, matches, params):
     result = adalam_filter(k1, k2, SIZE, SIZE, matches, params)
 
     r1 = compute_radius(SIZE, params.area_ratio)
@@ -182,3 +215,40 @@ def test_filter_equals_replay_through_public_stages(variant, params):
             assert report.best_inlier_count == outcome.inlier_member_indices.size
             kept.append(nb.members[outcome.inlier_member_indices])
     assert np.array_equal(result.selected, np.unique(np.concatenate(kept)))
+
+
+def test_members_at_lam_r1_are_kept():
+    """The at-lam-r1 variant puts twelve members exactly on the seed's
+    neighbourhood radius, where they decide the seed's inliers."""
+    sc = scene(seed=12, noise_sigma=1.0)
+    k1, k2, matches = _at_lam_r1(sc.k1, sc.k2, sc.matches)
+    s = int(np.argmin(matches.ratio))
+    movers = [j for j in range(len(matches)) if j != s][:12]
+    r1 = compute_radius(SIZE, AdalamParams().area_ratio)
+    assert s in select_seeds(matches, k1, r1)
+    nb = assemble_neighborhood(Seed(s, r1, r1), matches, k1, k2, AdalamParams())
+    assert set(movers) <= set(nb.members.tolist())
+    result = adalam_filter(k1, k2, SIZE, SIZE, matches)
+    assert set(movers) <= set(result.selected.tolist())
+
+
+def test_member_on_the_radius_from_a_cell_edge():
+    """A seed at the far edge of its grid cell, with a member exactly
+    lam * r1 away: the member lies one cell over, not two, so adalam_filter
+    still finds it. The first match fixes the grid origin at 0."""
+    params = AdalamParams(t_n=2)
+    r1 = compute_radius(SIZE, params.area_ratio)
+    lam_r1 = params.lam * r1
+    x_s = 2.0 * lam_r1 * (1.0 - 1e-5) * (1.0 - 1e-8)
+    x_m = x_s + lam_r1
+    while (x_m - x_s) ** 2 > lam_r1 * lam_r1:
+        x_m = np.nextafter(x_m, 0.0)
+    xy = np.array([[0.0, 0.0], [x_s, 500.0], [x_m, 500.0], [x_s + 9.0, 500.0],
+                   [x_s, 509.0], [x_s - 7.0, 495.0]])
+    n = len(xy)
+    k = KeypointSet(xy=xy, sigma=np.ones(n), alpha=np.zeros(n), desc=np.zeros((n, 2)))
+    matches = MatchSet(np.arange(n), np.arange(n), np.zeros(n),
+                       np.array([0.5, 0.1, 0.2, 0.3, 0.3, 0.3]))
+    nb = assemble_neighborhood(Seed(1, r1, r1), matches, k, k, params)
+    assert 2 in nb.members
+    assert_filter_equals_replay(k, k, matches, params)

@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import adalam
 from adalam import (
     AdalamParams,
     ImageSize,
@@ -244,3 +248,16 @@ class TestExitCodes:
         code = main(["eval", "--selected", str(mt), "--matches", str(mt)])
         assert code == 2
         assert "gt" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """Every CLI subcommand is its own process; importing scipy.spatial
+    alone once cost each of them about 0.45 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adalam.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, adalam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

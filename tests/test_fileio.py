@@ -1,18 +1,24 @@
 import math
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adalam import (
     ImageSize,
     KeypointSet,
     MatchSet,
     ParseError,
+    fileio,
     read_errors,
     read_keypoints,
     read_matches,
+    wrap_angle,
     write_keypoints,
     write_matches,
 )
@@ -212,3 +218,143 @@ class TestReadErrors:
         path.write_text("\n")
         with pytest.raises(ParseError):
             read_errors(path)
+
+
+# Property tests: the whole-row writers against per-field f"{x:.9g}", and the
+# reader's np.loadtxt fast path against its row-by-row parser.
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, math.pi, -math.pi,
+           1 / 3, 123456789.0]
+FINITE = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.one_of(st.sampled_from([5e-324, 2.5e-310, 1.0, 1e300]),
+                     st.floats(min_value=5e-324, allow_infinity=False))
+ALPHA = st.one_of(st.sampled_from([math.pi, float(np.nextafter(-math.pi, 0.0)), 0.0, -0.0]),
+                  st.floats(float(np.nextafter(-math.pi, 0.0)), math.pi))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fileio-properties")
+
+
+@st.composite
+def keypoint_sets(draw):
+    n = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 4))
+    return KeypointSet(
+        xy=draw(hnp.arrays(np.float64, (n, 2), elements=FINITE)),
+        sigma=draw(hnp.arrays(np.float64, n, elements=POSITIVE)),
+        alpha=draw(hnp.arrays(np.float64, n, elements=ALPHA)),
+        desc=draw(hnp.arrays(np.float64, (n, dim), elements=FINITE)),
+    )
+
+
+@st.composite
+def match_sets(draw):
+    n = draw(st.integers(0, 6))
+    ratio = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+    dist = st.one_of(st.sampled_from([0.0, 2.5e-310, 1e300]),
+                     st.floats(0.0, allow_infinity=False))
+    matches = MatchSet(
+        idx1=np.array(draw(st.permutations(range(n))), dtype=np.int64),
+        idx2=draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2**62))),
+        dist=draw(hnp.arrays(np.float64, n, elements=dist)),
+        ratio=draw(hnp.arrays(np.float64, n, elements=ratio)),
+    )
+    gt = draw(st.one_of(st.none(), hnp.arrays(np.bool_, n)))
+    return matches, gt
+
+
+class TestWriterProperties:
+    @PROPERTY
+    @given(keypoint_sets())
+    def test_keypoints_equal_per_field_format(self, scratch, kps):
+        path = scratch / "kp.txt"
+        write_keypoints(path, SIZE, kps)
+        alpha = wrap_angle(kps.alpha) if len(kps) else kps.alpha
+        rows = [f"ADALAM-KP 1 {len(kps)} {kps.dim} {SIZE.width} {SIZE.height}"]
+        for k in range(len(kps)):
+            values = [kps.xy[k, 0], kps.xy[k, 1], kps.sigma[k], alpha[k], *kps.desc[k]]
+            rows.append(" ".join(f"{v:.9g}" for v in values))
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    @PROPERTY
+    @given(match_sets())
+    def test_matches_equal_per_field_format(self, scratch, matches_gt):
+        matches, gt = matches_gt
+        path = scratch / "mt.txt"
+        write_matches(path, matches, gt)
+        rows = [f"ADALAM-MT 1 {len(matches)} {int(gt is not None)}"]
+        for k in range(len(matches)):
+            fields = [str(matches.idx1[k]), str(matches.idx2[k]),
+                      f"{matches.dist[k]:.9g}", f"{matches.ratio[k]:.9g}"]
+            if gt is not None:
+                fields.append(str(int(gt[k])))
+            rows.append(" ".join(fields))
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+TOKENS = ["nan", "inf", "-inf", "1_000", "-0", "1e400", "0x10", "+.5", "2.5e-310", "", "x"]
+
+
+def mutate(text, kind, at):
+    """One edit of a keypoint file's text at a position chosen by at."""
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    lines = text.split("\n")
+    i = 1 + at % max(1, len(lines) - 2)   # a body line, or just after the header
+    row = lines[i].split(" ") if i < len(lines) else [""]
+    if kind == "insert":
+        lines.insert(i, ["", " \t ", "# note", "\u3000", "\x0c"][at % 5])
+    elif kind == "cr":
+        lines[i - 1] += "\r" + lines.pop(i)
+    elif kind == "token":
+        row[at % len(row)] = TOKENS[at % len(TOKENS)]
+        lines[i] = " ".join(row)
+    elif kind == "extra":
+        lines[i] += [" 7", " # note", "\t", " 7\x0b8"][at % 4]
+    elif kind == "missing":
+        lines[i] = " ".join(row[:-1])
+    elif kind == "separator":
+        lines[i] = ["\xa0", "\x0c", "\x1c", "\t", "  "][at % 5].join(row)
+    elif kind == "count":
+        head = lines[0].split(" ")
+        head[2] = str(max(0, int(head[2]) + (1 if at % 2 else -1)))
+        lines[0] = " ".join(head)
+    return "\n".join(lines)
+
+
+def read_outcome(path):
+    try:
+        size, kps = read_keypoints(path)
+    except ValueError as exc:   # ParseError, or KeypointSet refusing a value
+        return type(exc).__name__, str(exc)
+    data = np.column_stack((kps.xy, kps.sigma, kps.alpha, kps.desc))
+    return size, data.shape, data.tobytes()
+
+
+class TestReaderProperties:
+    def test_fast_path_reads_written_files(self, tmp_path):
+        path = tmp_path / "kp.txt"
+        write_keypoints(path, SIZE, make_keypoints(5, dim=3))
+        expect = read_outcome(path)
+        with mock.patch.object(fileio, "_parse_rows", side_effect=AssertionError):
+            assert read_outcome(path) == expect
+
+    @PROPERTY
+    @given(keypoint_sets(),
+           st.lists(st.tuples(st.sampled_from(["crlf", "insert", "cr", "token", "extra",
+                                               "missing", "separator", "count"]),
+                              st.integers(0, 10**6)), min_size=1, max_size=3))
+    def test_fast_path_equals_row_parser(self, scratch, kps, edits):
+        path = scratch / "kp.txt"
+        write_keypoints(path, SIZE, kps)
+        text = path.read_text()
+        for kind, at in edits:
+            text = mutate(text, kind, at)
+        path.write_bytes(text.encode())
+        got = read_outcome(path)
+        with mock.patch.object(fileio, "_load_rows", return_value=None):
+            assert read_outcome(path) == got

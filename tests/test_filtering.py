@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -44,6 +44,20 @@ def kps_at(xy, sigma=None, alpha=None):
         alpha=np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float),
         desc=np.zeros((n, 2)),
     )
+
+
+def nms_oracle(xy, ratios, r1):
+    """select_seeds by its O(m^2) definition: a match survives unless a
+    better one (higher 1 - ratio, ties to the lower index) has d^2 <= r1^2."""
+    conf = 1.0 - np.asarray(ratios, dtype=float)
+    idx = np.arange(conf.size)
+    d = xy[:, None, :] - xy[None, :, :]
+    near = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= r1 * r1
+    np.fill_diagonal(near, False)
+    beats = (conf[None, :] > conf[:, None]) | (
+        (conf[None, :] == conf[:, None]) & (idx[None, :] < idx[:, None])
+    )
+    return np.flatnonzero(~(near & beats).any(axis=1))
 
 
 def build_neighborhood(u, v, ratios=None, r1=50.0, r2=50.0, seed_pos=0):
@@ -124,6 +138,35 @@ class TestSelectSeeds:
     def test_empty(self):
         k = kps_at([[0.0, 0.0]])
         assert select_seeds(MatchSet.empty(), k, 10.0).size == 0
+
+    @pytest.mark.parametrize("offset", [1e7, -1e7, 1e12])
+    def test_offsets_match_brute_force_oracle(self, offset):
+        rng = np.random.default_rng(12)
+        xy = rng.uniform(0, 1000, size=(400, 2)) + offset
+        ratios = np.round(rng.uniform(0, 1, size=400), 1)
+        got = select_seeds(make_matchset(xy, ratios), kps_at(xy), 56.419)
+        assert np.array_equal(got, nms_oracle(xy, ratios, 56.419))
+
+    def test_cell_diagonal_just_over_r1(self):
+        # Both ends of a diagonal just over r1 long survive: cells are a
+        # little under r1 / sqrt(2) wide, so the ends never share a cell.
+        a = 56.4 * (1.0 + 5e-6) / math.sqrt(2.0)
+        xy = np.array([[0.0, 0.0], [a, a]])
+        assert list(select_seeds(make_matchset(xy, [0.3, 0.7]), kps_at(xy), 56.4)) == [0, 1]
+
+    def test_one_huge_position_is_a_seed(self):
+        xy = [[1e300, -1e300], [1e300, -1e300]]
+        assert list(select_seeds(make_matchset(np.array(xy)), kps_at(xy), 56.4)) == [0]
+
+    @pytest.mark.parametrize("xy", [
+        [[0.0, 0.0], [1e300, 0.0]],
+        [[0.0, -1e308], [5.0, 1e308]],   # the span overflows to inf
+        [[0.0, 0.0], [0.0, 1e12]],       # more than 2**31 cells of r1 / sqrt(2)
+    ])
+    def test_huge_span_raises_naming_it(self, xy):
+        xy = np.array(xy)
+        with pytest.raises(ValueError, match="positions span"):
+            select_seeds(make_matchset(xy), kps_at(xy), 56.4)
 
 
 class TestAssembleNeighborhood:
@@ -588,3 +631,44 @@ class TestVerifySeedProperties:
             assert got is not None
             assert got.iteration_index == expect[0]
             assert np.array_equal(got.inlier_member_indices, expect[1])
+
+
+R1 = 5.0  # lattice points (0, 0) and (3, 4) are exactly r1 apart
+
+
+@st.composite
+def seed_inputs(draw):
+    """Image-1 positions and ratios for select_seeds with r1 = R1: integer
+    lattices (3-4-5 pairs exactly r1 apart), multiples of the r1 / sqrt(2)
+    cell side, one cell, free floats; optional duplicate positions, ratio
+    ties and offsets of 1e7 and 1e12."""
+    m = draw(st.integers(0, 40))
+    elements = draw(st.sampled_from([
+        st.integers(0, 15).map(float),
+        st.integers(0, 8).map(lambda k: k * R1 / math.sqrt(2.0)),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 40.0),
+    ]))
+    xy = draw(hnp.arrays(np.float64, (m, 2), elements=elements))
+    if draw(st.booleans()):
+        xy[m // 2:] = xy[: m - m // 2]
+    xy += draw(st.sampled_from([0.0, 1e7, 1e12]))
+    ratios = draw(st.sampled_from([
+        st.just(0.5),
+        st.integers(0, 10).map(lambda k: k / 10),
+        st.floats(0.0, 1.0),
+    ]))
+    return xy, np.asarray(draw(st.lists(ratios, min_size=m, max_size=m)), dtype=float)
+
+
+class TestSelectSeedsProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed_inputs())
+    @example((np.zeros((0, 2)), np.zeros(0)))
+    @example((np.array([[7.0, 7.0]]), np.array([0.5])))
+    @example((np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [4.0, 3.0]]), np.full(4, 0.5)))
+    def test_equals_brute_force_oracle(self, inputs):
+        xy, ratios = inputs
+        got = select_seeds(make_matchset(xy, ratios), kps_at(xy), R1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, nms_oracle(xy, ratios, R1))
