@@ -1,16 +1,40 @@
 """Nearest-neighbor descriptor matching and the simple baseline filters.
 
-Search is exact brute force over Euclidean distances. Candidate screening
-runs in float32 for speed; the final top-2 decision is refined in float64,
-with distance ties broken by the smaller second-image index.
+Search is exact brute force over Euclidean distances. One kernel,
+`_nearest`, serves `nn_match` and the reverse search of
+`mutual_nn_filter`:
+
+- Both descriptor sets are first multiplied by one shared power of two,
+  so that every component lies in (-1, 1). This is exact in float64 and
+  keeps the float32 scores below from overflowing or underflowing, so no
+  descriptor range is refused.
+- Candidates are screened on float32 scores `a·b - ‖b‖²/2`, whose
+  maximum is the nearest neighbor; each row keeps its top 3.
+- The candidates' distances are recomputed in float64 from explicit
+  differences, `sum((b - a)**2)`, and ordered by (distance, index).
+- A rounding bound e_i guards the screening. A row whose float32 gap
+  between its 2nd and 3rd candidates is at most 2·e_i is recomputed the
+  same way against every row of the second set whose float32 score lies
+  within 2·e_i of its 2nd candidate's. No other row can be one of its two
+  nearest.
+
+The result is exact: the nearest index, its distance and the ratio are
+those of explicit float64 differences with ties broken by the smaller
+index, whatever the float32 rounding did.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .core import KeypointSet, MatchSet
 
 _CHUNK = 1024
+_CANDIDATES = 3
+_U32 = 2.0 ** -24        # unit roundoff of float32
+_U64 = 2.0 ** -53        # unit roundoff of float64
+_TINY32 = 2.0 ** -149    # smallest positive float32
 
 
 def _check_pair(k1: KeypointSet, k2: KeypointSet):
@@ -18,6 +42,114 @@ def _check_pair(k1: KeypointSet, k2: KeypointSet):
         raise ValueError(
             f"descriptor dimension mismatch: {k1.dim} vs {k2.dim}"
         )
+
+
+def _screen_bound(norm_a, max_b, d):
+    """Bound e_i that makes the float32 screening of `_nearest` exact.
+
+    After the prescale every component lies in (-1, 1). For a row a of
+    the first set and a row b of the second, write S = a·b - ‖b‖²/2 for
+    the exact score, s for its float32 value, D = ‖a - b‖² = ‖a‖² - 2S,
+    and D64 for D computed from explicit float64 differences. Let u be
+    the float32 unit roundoff, u64 the float64 one, eta = 2**-149 the
+    smallest float32, and use (1+u)**n - 1 <= expm1(n·u), which holds
+    for every n.
+
+    - Casting to float32 changes each component x by at most
+      u·|x| + eta/2.
+    - The float32 product of the casts, in any summation order, differs
+      from a·b by at most ((1+u)**(d+2) - 1)·‖a‖·‖b‖ plus d·eta from the
+      casts and d·eta/2·(1+u)**d from products that underflow.
+    - ‖b‖²/2 is summed in float64 and cast, so it is off by at most
+      ((1+u)·(1+u64)**d - 1)·‖b‖²/2 + eta/2.
+    - The float32 subtraction adds u·(|a·b| + ‖b‖²/2), to first order.
+
+    So |s - S| <= expm1((d+3)·u)·‖a‖·M + expm1(2u + d·u64)·M²/2 + tau
+    with M = max‖b‖ and tau = 2·(d+1)·(1 + expm1((d+4)·u))·eta. The
+    float64 differences give |D64 - D| <= expm1((d+2)·u64)·D, and
+    D <= (‖a‖ + M)².
+
+    The returned e_i = expm1((d+4)·u)·‖a_i‖·M + expm1(2u + d·u64)·M²
+    + expm1((d+3)·u64)·(‖a_i‖ + M)²/2 + tau bounds |s - S| plus half of
+    |D64 - D|. Its coefficients exceed the sums above by a margin that
+    covers the float64 rounding of e_i itself and of the gap it is
+    compared with.
+
+    Take the row's two best float32 candidates c and any row j with
+    s_j < s_c - 2·e_i for both. Then S_c - S_j > 2·(e_i - max|s - S|),
+    which is at least max|D64 - D|, and D_j - D_c = 2·(S_c - S_j) exceeds
+    the two rows' |D64 - D| together. So D64_j > D64_c: j is not one of the
+    two nearest rows by explicit float64 differences, ties included.
+    When the K-th candidate's score is below the 2nd's by more than 2·e_i,
+    every row that was not a candidate is such a j. The bound assumes
+    IEEE gradual underflow, NumPy's default.
+    """
+    c32 = math.expm1((d + 4) * _U32)
+    tau = 2.0 * (d + 1) * (1.0 + c32) * _TINY32
+    return (c32 * norm_a * max_b + math.expm1(2 * _U32 + d * _U64) * max_b ** 2
+            + math.expm1((d + 3) * _U64) * (norm_a + max_b) ** 2 / 2 + tau)
+
+
+def _nearest(a: np.ndarray, b: np.ndarray):
+    """Exact nearest row of b for every row of a.
+
+    Returns (idx, dist, ratio, recheck): the nearest index, its distance,
+    the ratio to the second-nearest distance (1 when that is 0, or when b
+    has one row), and a mask of the rows whose screening was not provably
+    exact and that were recomputed against the rows of b their scores
+    could not rule out. Distances are sqrt(sum((b - a)**2)) in float64,
+    ties go to the smaller index. See `_screen_bound` for why the float32
+    screening cannot change them.
+    """
+    n1, d = a.shape
+    n2 = b.shape[0]
+    amax = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    shift = int(np.frexp(amax)[1])
+    a = np.ldexp(a, -shift)
+    b = np.ldexp(b, -shift)
+    a32 = a.astype(np.float32)
+    b32 = b.astype(np.float32)
+    sq_b = np.einsum("ij,ij->i", b, b)
+    half32 = (0.5 * sq_b).astype(np.float32)
+    bound = _screen_bound(np.sqrt(np.einsum("ij,ij->i", a, a)),
+                          math.sqrt(np.max(sq_b)), d)
+    k = min(_CANDIDATES, n2)
+    ncol = min(2, n2)
+
+    idx = np.empty(n1, dtype=np.int64)
+    sq = np.empty((n1, ncol), dtype=np.float64)
+    recheck = np.zeros(n1, dtype=bool)
+    for lo in range(0, n1, _CHUNK):
+        hi = min(lo + _CHUNK, n1)
+        score = a32[lo:hi] @ b32.T
+        score -= half32
+        rows = np.arange(hi - lo)
+        cand = np.empty((hi - lo, k), dtype=np.int64)
+        top = np.empty((hi - lo, k), dtype=np.float64)
+        for c in range(k):
+            cand[:, c] = score.argmax(axis=1)
+            top[:, c] = score[rows, cand[:, c]]
+            score[rows, cand[:, c]] = -np.inf
+        if n2 > k:
+            recheck[lo:hi] = top[:, 1] - top[:, -1] <= 2.0 * bound[lo:hi]
+        diff = b[cand] - a[lo:hi, None]
+        dd = np.sum(diff * diff, axis=-1)
+        for r in np.flatnonzero(recheck[lo:hi]):
+            near = np.union1d(cand[r], np.flatnonzero(
+                score[r] >= top[r, 1] - 2.0 * bound[lo + r]))
+            diff = b[near] - a[lo + r]
+            full = np.sum(diff * diff, axis=1)
+            pick = np.argsort(full, kind="stable")[:k]
+            cand[r] = near[pick]
+            dd[r] = full[pick]
+        order = np.lexsort((cand, dd), axis=1)
+        idx[lo:hi] = cand[rows, order[:, 0]]
+        sq[lo:hi] = np.take_along_axis(dd, order[:, :ncol], axis=1)
+
+    best = np.sqrt(sq[:, 0])
+    second = np.sqrt(sq[:, -1])
+    ratio = np.divide(best, second, out=np.ones(n1), where=second > 0.0)
+    return idx, np.ldexp(best, shift), ratio, recheck
 
 
 def nn_match(k1: KeypointSet, k2: KeypointSet) -> MatchSet:
@@ -29,44 +161,8 @@ def nn_match(k1: KeypointSet, k2: KeypointSet) -> MatchSet:
     _check_pair(k1, k2)
     if len(k2) < 2:
         raise ValueError("nn_match: need at least 2 keypoints in the second set")
-    n1, n2 = len(k1), len(k2)
-    d1 = k1.desc
-    d2 = k2.desc
-    sq2 = np.einsum("ij,ij->i", d2, d2)
-
-    idx2 = np.empty(n1, dtype=np.int64)
-    dist = np.empty(n1, dtype=np.float64)
-    ratio = np.empty(n1, dtype=np.float64)
-    ncand = min(3, n2)
-
-    for lo in range(0, n1, _CHUNK):
-        hi = min(lo + _CHUNK, n1)
-        block = d1[lo:hi]
-        gram = block @ d2.T                       # (b, n2) float64
-        sq1 = np.einsum("ij,ij->i", block, block)
-        # Screen candidates on similarity in float32: maximizing
-        # gram - sq2/2 minimizes the squared distance.
-        score = (gram - 0.5 * sq2).astype(np.float32)
-        rows = np.arange(hi - lo)
-        cand = np.empty((hi - lo, ncand), dtype=np.int64)
-        for c in range(ncand):
-            cand[:, c] = score.argmax(axis=1)
-            score[rows, cand[:, c]] = -np.inf
-        # Exact squared distances of the candidates, from the f64 gram.
-        d2cand = sq1[:, None] + sq2[cand] - 2.0 * gram[rows[:, None], cand]
-        np.maximum(d2cand, 0.0, out=d2cand)
-        # Candidates with equal score come out in increasing index order,
-        # so a stable sort on distance preserves the index tie-break.
-        order = np.argsort(d2cand, axis=1, kind="stable")
-        best = np.take_along_axis(cand, order, axis=1)
-        dbest = np.sqrt(np.take_along_axis(d2cand, order, axis=1))
-        idx2[lo:hi] = best[:, 0]
-        dist[lo:hi] = dbest[:, 0]
-        second = dbest[:, 1]
-        r = np.where(second > 0.0, dbest[:, 0] / np.where(second > 0, second, 1.0), 1.0)
-        ratio[lo:hi] = np.clip(r, 0.0, 1.0)
-
-    return MatchSet(np.arange(n1, dtype=np.int64), idx2, dist, ratio)
+    idx2, dist, ratio, _ = _nearest(k1.desc, k2.desc)
+    return MatchSet(np.arange(len(k1), dtype=np.int64), idx2, dist, ratio)
 
 
 def ratio_test_filter(matches: MatchSet, threshold: float) -> MatchSet:
@@ -79,19 +175,13 @@ def ratio_test_filter(matches: MatchSet, threshold: float) -> MatchSet:
 def mutual_nn_filter(k1: KeypointSet, k2: KeypointSet, matches: MatchSet) -> MatchSet:
     """Keep match (i -> j) iff i is also the nearest neighbor of j in k1.
 
-    Expects matches produced by nn_match(k1, k2). Ties in the reverse
-    search are broken by the smaller k1 index.
+    Expects matches produced by nn_match(k1, k2). The reverse search is
+    the same exact search, so its ties are broken by the smaller k1
+    index.
     """
     _check_pair(k1, k2)
     if len(matches) == 0:
         return matches
-    d1 = k1.desc
-    d2 = k2.desc
-    sq1 = np.einsum("ij,ij->i", d1, d1)
-    nn21 = np.empty(len(k2), dtype=np.int64)
-    for lo in range(0, len(k2), _CHUNK):
-        hi = min(lo + _CHUNK, len(k2))
-        score = d2[lo:hi] @ d1.T - 0.5 * sq1
-        nn21[lo:hi] = score.argmax(axis=1)
-    keep = nn21[matches.idx2] == matches.idx1
-    return matches.take(keep)
+    js, inverse = np.unique(matches.idx2, return_inverse=True)
+    nn21 = _nearest(k2.desc[js], k1.desc)[0]
+    return matches.take(nn21[inverse] == matches.idx1)

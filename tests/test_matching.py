@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from adalam import KeypointSet, MatchSet, mutual_nn_filter, nn_match, ratio_test_filter
+from adalam import KeypointSet, MatchSet, matching, mutual_nn_filter, nn_match, ratio_test_filter
 
 
 def kps_from_desc(desc):
@@ -27,6 +29,32 @@ def brute_force_nn(d1, d2):
         ratio = dists[best] / dists[second] if dists[second] > 0 else 1.0
         out.append((best, dists[best], ratio))
     return out
+
+
+def explicit_nn(d1, d2):
+    """Oracle by explicit float64 differences, ties to the smaller index:
+    (nearest index, its distance, ratio) per row of d1."""
+    idx, dist, ratio = [], [], []
+    for row in d1:
+        diff = d2 - row
+        dd = np.sqrt(np.sum(diff * diff, axis=1))
+        order = np.lexsort((np.arange(len(dd)), dd))
+        best, second = dd[order[0]], dd[order[1 % len(dd)]]
+        idx.append(order[0])
+        dist.append(best)
+        ratio.append(best / second if second > 0 else 1.0)
+    return np.array(idx), np.array(dist), np.array(ratio)
+
+
+def mutual_oracle(d1, d2, matches):
+    back = explicit_nn(d2[matches.idx2], d1)[0]
+    return matches.idx1[back == matches.idx1]
+
+
+# The float32 near-tie: the first three rows cast to the same float32 as the
+# nearest one, so all three fill the screening candidates.
+NEAR_TIE = ([[1.0, 0.0]], [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5 + 1e-8, 0.0]])
+SHIFTS = [-600, -80, 80, 600]
 
 
 class TestNNMatch:
@@ -97,6 +125,47 @@ class TestNNMatch:
         assert m.idx2[0] == 0
         assert m.ratio[0] == 1.0
 
+    def test_float32_near_tie_is_exact(self):
+        m = nn_match(kps_from_desc(NEAR_TIE[0]), kps_from_desc(NEAR_TIE[1]))
+        assert m.idx2[0] == 3
+        assert m.dist[0] == 1.0 - (0.5 + 1e-8)
+        assert m.ratio[0] == pytest.approx((0.5 - 1e-8) / 0.5, rel=1e-15)
+
+    def test_distances_are_explicit_differences(self):
+        # Bit for bit: the prescale by a power of two is exact, and the
+        # refinement sums the same squared differences as the oracle.
+        rng = np.random.default_rng(11)
+        d1 = rng.normal(size=(30, 24)) * rng.uniform(0.1, 10.0, size=(30, 1))
+        d2 = rng.normal(size=(45, 24))
+        m = nn_match(kps_from_desc(d1), kps_from_desc(d2))
+        idx, dist, ratio = explicit_nn(d1, d2)
+        assert np.array_equal(m.idx2, idx)
+        assert np.array_equal(m.dist, dist)
+        assert np.array_equal(m.ratio, ratio)
+
+    @pytest.mark.parametrize("factor", [1e-25, 1e20])
+    def test_extreme_scales_match_oracle(self, factor):
+        rng = np.random.default_rng(12)
+        d1 = factor * rng.normal(size=(20, 8))
+        d2 = factor * rng.normal(size=(30, 8))
+        m = nn_match(kps_from_desc(d1), kps_from_desc(d2))
+        idx, dist, ratio = explicit_nn(d1, d2)
+        assert np.array_equal(m.idx2, idx)
+        assert np.allclose(m.dist, dist, rtol=1e-12, atol=0)
+        assert np.allclose(m.ratio, ratio, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_power_of_two_scales(self, shift):
+        # 2**600 squared overflows float64 and 2**-600 squared underflows it.
+        rng = np.random.default_rng(13)
+        d1 = rng.normal(size=(20, 8))
+        d2 = rng.normal(size=(30, 8))
+        m = nn_match(kps_from_desc(d1), kps_from_desc(d2))
+        ms = nn_match(kps_from_desc(np.ldexp(d1, shift)), kps_from_desc(np.ldexp(d2, shift)))
+        assert np.array_equal(ms.idx2, m.idx2)
+        assert np.array_equal(ms.ratio, m.ratio)
+        assert np.array_equal(ms.dist, np.ldexp(m.dist, shift))
+
     def test_insufficient_keypoints(self):
         with pytest.raises(ValueError, match="at least 2"):
             nn_match(kps_from_desc([[1.0, 0.0]]), kps_from_desc([[1.0, 0.0]]))
@@ -107,6 +176,69 @@ class TestNNMatch:
                 kps_from_desc([[1.0, 0.0]]),
                 kps_from_desc([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             )
+
+
+class TestScreeningGuard:
+    def test_near_tie_is_rechecked(self):
+        recheck = matching._nearest(np.array(NEAR_TIE[0]), np.array(NEAR_TIE[1]))[3]
+        assert list(recheck) == [True]
+
+    def test_separated_rows_are_not_rechecked(self):
+        # With distinct 2nd and 3rd candidates the screening is trusted.
+        rng = np.random.default_rng(14)
+        idx, _, _, recheck = matching._nearest(rng.normal(size=(200, 32)),
+                                               rng.normal(size=(300, 32)))
+        assert not recheck.any()
+
+    def test_guard_is_inclusive(self, monkeypatch):
+        # A zero bound still rechecks a row whose 2nd and 3rd float32
+        # scores are equal: the gap must exceed twice the bound.
+        monkeypatch.setattr(matching, "_screen_bound", lambda norm_a, max_b, d: 0.0 * norm_a)
+        idx, _, _, recheck = matching._nearest(np.array(NEAR_TIE[0]), np.array(NEAR_TIE[1]))
+        assert list(recheck) == [True] and list(idx) == [3]
+
+
+@st.composite
+def descriptor_pairs(draw):
+    """Descriptor sets with duplicated rows, near-ties of 1e-9 to 1e-6,
+    quantised values, mixed row norms and a power-of-two scale."""
+    d = draw(st.sampled_from([1, 2, 8, 128]))
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.sampled_from([2, 3, 4, 5, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    desc = rng.normal(size=(n1 + n2, d))
+    values = draw(st.sampled_from(["free", "quantised", "mixed-norms"]))
+    if values == "quantised":
+        desc = np.round(4.0 * desc) / 4.0
+    elif values == "mixed-norms":
+        desc *= 10.0 ** rng.integers(-3, 4, size=(n1 + n2, 1))
+    d1, d2 = desc[:n1], desc[n1:]
+    if draw(st.booleans()):  # duplicated rows, also of the first set
+        d2[rng.integers(n2, size=n2 // 2)] = d2[0]
+        d2[-1] = d1[0]
+    eps = draw(st.sampled_from([0.0, 1e-9, 1e-8, 1e-7, 1e-6]))
+    if eps:  # rows a hair from one another or from a query
+        near = rng.integers(n2, size=n2 // 2 + 1)
+        d2[near] = d2[near[0]] + eps * rng.normal(size=(near.size, d))
+        d2[0] = d1[-1] + eps * rng.normal(size=d)
+    return d1, d2, draw(st.sampled_from([0] + SHIFTS))
+
+
+class TestExactSearchProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(descriptor_pairs())
+    @example((np.array(NEAR_TIE[0]), np.array(NEAR_TIE[1]), 0))
+    def test_equals_explicit_difference_oracle(self, inputs):
+        d1, d2, shift = inputs
+        k1 = kps_from_desc(np.ldexp(d1, shift))
+        k2 = kps_from_desc(np.ldexp(d2, shift))
+        m = nn_match(k1, k2)
+        idx, dist, ratio = explicit_nn(d1, d2)
+        assert np.array_equal(m.idx2, idx)
+        assert np.allclose(np.ldexp(m.dist, -shift), dist, rtol=1e-12, atol=0)
+        assert np.allclose(m.ratio, ratio, rtol=1e-12, atol=0)
+        kept = mutual_nn_filter(k1, k2, m)
+        assert np.array_equal(kept.idx1, mutual_oracle(d1, d2, m))
 
 
 class TestRatioTestFilter:
@@ -170,6 +302,24 @@ class TestMutualNNFilter:
     def test_empty_matches(self):
         k1 = kps_from_desc([[1.0, 0.0], [0.0, 1.0]])
         assert len(mutual_nn_filter(k1, k1, MatchSet.empty())) == 0
+
+    @pytest.mark.parametrize("shift", [0] + SHIFTS)
+    def test_matches_brute_force_reverse_oracle(self, shift):
+        rng = np.random.default_rng(8)
+        d1 = rng.normal(size=(40, 6))
+        d1[20:30] = d1[:10]              # exact duplicates in the reverse search
+        d2 = np.vstack([d1[:15] + 1e-3 * rng.normal(size=(15, 6)), rng.normal(size=(25, 6))])
+        m = nn_match(kps_from_desc(d1), kps_from_desc(d2))
+        kept = mutual_nn_filter(kps_from_desc(np.ldexp(d1, shift)),
+                                kps_from_desc(np.ldexp(d2, shift)), m)
+        expect = mutual_oracle(d1, d2, m)
+        assert np.array_equal(kept.idx1, expect)
+        assert 10 <= len(expect) < 40
+
+    def test_single_keypoint_first_set(self):
+        k1 = kps_from_desc([[1.0, 0.0]])
+        k2 = kps_from_desc([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+        assert len(mutual_nn_filter(k1, k2, nn_match(k1, k2))) == 1
 
     def test_subset_and_idempotent(self):
         rng = np.random.default_rng(7)
