@@ -186,8 +186,7 @@ class TestScreeningGuard:
     def test_separated_rows_are_not_rechecked(self):
         # With distinct 2nd and 3rd candidates the screening is trusted.
         rng = np.random.default_rng(14)
-        idx, _, _, recheck = matching._nearest(rng.normal(size=(200, 32)),
-                                               rng.normal(size=(300, 32)))
+        recheck = matching._nearest(rng.normal(size=(200, 32)), rng.normal(size=(300, 32)))[3]
         assert not recheck.any()
 
     def test_guard_is_inclusive(self, monkeypatch):

@@ -22,7 +22,7 @@ import statistics
 import subprocess
 import sys
 
-SEEDS = (101, 102, 103, 104, 105)
+SEEDS = [101, 102, 103, 104, 105]
 
 
 def summary(values):
@@ -57,29 +57,24 @@ def git_commit():
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
-    p.add_argument("--seeds", default=",".join(map(str, SEEDS)),
-                   help="comma-separated benchmark seeds (default %(default)s)")
-    p.add_argument("--seconds", type=float,
-                   help="timed seconds per run (default: run_seconds of BENCHMARK.json)")
     args = p.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     import numpy
 
     out = {
         "label": args.label,
         "host": {"commit": git_commit(), "cpu_count": os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__},
-        "seeds": seeds,
+        "seeds": SEEDS,
         "seconds": seconds,
         "workloads": {},
     }
     ok, ref_loop = True, []
     for wl in bench["workloads"]:
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             for trace in (0, 1):
                 run = run_once(bench["command"], wl["name"], seed, seconds, trace)
                 print(f"{wl['name']} seed {seed} trace {trace}: correct={run['correct']}",
