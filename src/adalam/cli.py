@@ -184,7 +184,7 @@ def _cmd_filter(args) -> int:
                 f"{r.best_inlier_count} {int(r.accepted)}"
                 for r in result.seed_reports
             )
-            _atomic_write(args.report, "\n".join(lines) + "\n")
+            _atomic_write(args.report, ["\n".join(lines) + "\n"])
     write_matches(args.out, kept, gt=gt[sel] if gt is not None else None)
     return 0
 

@@ -35,6 +35,15 @@ def _wrap_angle(arr: np.ndarray) -> np.ndarray:
     return np.where(r > math.pi, r - TWO_PI, r)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array. np.unique itself imports numpy.ma, which
+    costs a CLI process about 20 ms."""
+    s = np.sort(values)
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _as_float_array(x, name, ndim):
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != ndim:
@@ -136,7 +145,7 @@ class MatchSet:
             raise ValueError("MatchSet: inconsistent array lengths")
         if np.any(idx1 < 0) or np.any(idx2 < 0):
             raise ValueError("MatchSet: indices must be nonnegative")
-        if np.unique(idx1).size != m:
+        if _sorted_unique(idx1).size != m:
             raise ValueError("MatchSet: idx1 values must be unique")
         if not np.all(np.isfinite(dist)) or np.any(dist < 0):
             raise ValueError("MatchSet: dist must be finite and >= 0")

@@ -5,13 +5,15 @@ record per line, floats written with 9 significant digits. Keypoint rows
 are `x y sigma alpha d0 ... d{dim-1}`; match rows are
 `idx1 idx2 dist ratio [gt]`. Angles are wrapped into (-pi, pi] on write.
 Files are written atomically: no partial output remains on failure.
+Keypoint files are formatted and written 1024 rows at a time, so the
+writer's working memory does not grow with the row count.
 """
 from __future__ import annotations
 
 import os
 import tempfile
 import warnings
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .core import ImageSize, KeypointSet, MatchSet, wrap_angle
 KEYPOINT_MAGIC = "ADALAM-KP"
 MATCH_MAGIC = "ADALAM-MT"
 FORMAT_VERSION = "1"
+_WRITE_ROWS = 1024
 
 
 class ParseError(ValueError):
@@ -31,12 +34,13 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _atomic_write(path, text: str):
+def _atomic_write(path, pieces: Iterable[str]):
+    """Write the concatenated text pieces to path, all or nothing."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         # mkstemp creates the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -49,13 +53,20 @@ def _atomic_write(path, text: str):
 
 
 def write_keypoints(path, size: ImageSize, kps: KeypointSet):
-    rows = [f"{KEYPOINT_MAGIC} {FORMAT_VERSION} {len(kps)} {kps.dim} "
-            f"{size.width} {size.height}"]
+    _atomic_write(path, _keypoint_text(size, kps))
+
+
+def _keypoint_text(size: ImageSize, kps: KeypointSet):
+    """The lines of a keypoint file, in pieces of _WRITE_ROWS rows."""
+    yield (f"{KEYPOINT_MAGIC} {FORMAT_VERSION} {len(kps)} {kps.dim} "
+           f"{size.width} {size.height}\n")
     alpha = wrap_angle(kps.alpha) if len(kps) else kps.alpha
-    data = np.column_stack((kps.xy, kps.sigma, alpha, kps.desc))
-    fmt = " ".join(["%.9g"] * data.shape[1])
-    rows.extend(fmt % tuple(r) for r in data.tolist())
-    _atomic_write(path, "\n".join(rows) + "\n")
+    fmt = " ".join(["%.9g"] * (4 + kps.dim)) + "\n"
+    for lo in range(0, len(kps), _WRITE_ROWS):
+        hi = lo + _WRITE_ROWS
+        data = np.column_stack((kps.xy[lo:hi], kps.sigma[lo:hi], alpha[lo:hi],
+                                kps.desc[lo:hi]))
+        yield "".join([fmt % tuple(r.tolist()) for r in data])
 
 
 def _read_lines(path):
@@ -110,7 +121,7 @@ def _load_rows(body, count, ncol) -> Optional[np.ndarray]:
 
 def _parse_rows(path, lines, count, ncol) -> np.ndarray:
     """Rows of a keypoint file's lines, raising ParseError at the first fault."""
-    data = np.empty((count, ncol))
+    data = np.empty((min(count, len(lines) - 1), ncol))
     row = 0
     for offset, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -146,7 +157,7 @@ def write_matches(path, matches: MatchSet, gt: Optional[np.ndarray] = None):
         cols.append(gt.astype(np.int64).tolist())
         fmt += " %d"
     rows.extend(fmt % r for r in zip(*cols))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _atomic_write(path, ["\n".join(rows) + "\n"])
 
 
 def read_matches(path) -> Tuple[MatchSet, Optional[np.ndarray]]:
@@ -166,13 +177,57 @@ def read_matches(path) -> Tuple[MatchSet, Optional[np.ndarray]]:
         raise ParseError(path, 1, "header fields must be integers") from None
     if count < 0 or has_gt not in (0, 1):
         raise ParseError(path, 1, "invalid count or gt flag")
-    ncol = 4 + has_gt
+    columns = _load_match_rows(lines[1:], count, has_gt)
+    if columns is None:
+        columns = _parse_match_rows(path, lines, count, has_gt)
+    idx1, idx2, dist, ratio, gt = columns
+    try:
+        matches = MatchSet(idx1=idx1, idx2=idx2, dist=dist, ratio=ratio)
+    except ValueError as exc:
+        raise ParseError(path, 1, str(exc)) from None
+    return matches, gt
 
-    idx1 = np.empty(count, dtype=np.int64)
-    idx2 = np.empty(count, dtype=np.int64)
-    dist = np.empty(count)
-    ratio = np.empty(count)
-    gt = np.empty(count, dtype=bool) if has_gt else None
+
+_MATCH_FIELDS = [("idx1", np.int64), ("idx2", np.int64), ("dist", np.float64),
+                 ("ratio", np.float64), ("gt", np.int64)]
+
+
+def _load_match_rows(body, count, has_gt):
+    """The columns (idx1, idx2, dist, ratio, gt) of body's count match rows,
+    or None to parse them row by row.
+
+    As in _load_rows, np.loadtxt splits and parses the floats as the row
+    parser does. The index and gt columns go through its integer parser,
+    which refuses '5.', '5e0' and values beyond int64 as the row parser
+    does; it also refuses '_' separators and non-ASCII digits, which the
+    row parser accepts."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            data = np.loadtxt(body, dtype=_MATCH_FIELDS[:4 + has_gt],
+                              comments=None, ndmin=1)
+    except (ValueError, UserWarning):
+        return None
+    if (data.shape != (count,) or not np.all(np.isfinite(data["dist"]))
+            or not np.all(np.isfinite(data["ratio"]))):
+        return None
+    gt = None
+    if has_gt:
+        if np.any((data["gt"] != 0) & (data["gt"] != 1)):
+            return None
+        gt = data["gt"] == 1
+    return data["idx1"], data["idx2"], data["dist"], data["ratio"], gt
+
+
+def _parse_match_rows(path, lines, count, has_gt):
+    """Columns of a match file's lines, raising ParseError at the first fault."""
+    ncol = 4 + has_gt
+    rows = min(count, len(lines) - 1)
+    idx1 = np.empty(rows, dtype=np.int64)
+    idx2 = np.empty(rows, dtype=np.int64)
+    dist = np.empty(rows)
+    ratio = np.empty(rows)
+    gt = np.empty(rows, dtype=bool) if has_gt else None
     row = 0
     for offset, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -192,6 +247,8 @@ def read_matches(path) -> Tuple[MatchSet, Optional[np.ndarray]]:
                 if flag not in (0, 1):
                     raise ParseError(path, offset, "gt flag must be 0 or 1")
                 gt[row] = bool(flag)
+        except OverflowError:
+            raise ParseError(path, offset, "index does not fit in int64") from None
         except ValueError as exc:
             if isinstance(exc, ParseError):
                 raise
@@ -201,11 +258,7 @@ def read_matches(path) -> Tuple[MatchSet, Optional[np.ndarray]]:
         row += 1
     if row != count:
         raise ParseError(path, len(lines) + 1, f"expected {count} rows, found {row}")
-    try:
-        matches = MatchSet(idx1=idx1, idx2=idx2, dist=dist, ratio=ratio)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
-    return matches, gt
+    return idx1, idx2, dist, ratio, gt
 
 
 def read_errors(path) -> np.ndarray:

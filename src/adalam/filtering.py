@@ -31,6 +31,7 @@ from .core import (
     Neighborhood,
     Seed,
     SeedReport,
+    _sorted_unique,
     _wrap_angle,
 )
 
@@ -488,4 +489,4 @@ def adalam_filter(
         reports.append(SeedReport(si, best, count, inliers is not None))
         if inliers is not None:
             kept.append(members[inliers])
-    return FilterResult(selected=np.unique(np.concatenate(kept)), seed_reports=reports)
+    return FilterResult(selected=_sorted_unique(np.concatenate(kept)), seed_reports=reports)

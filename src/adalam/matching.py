@@ -10,6 +10,11 @@ Search is exact brute force over Euclidean distances. One kernel,
   descriptor range is refused.
 - Candidates are screened on float32 scores `a·b - ‖b‖²/2`, whose
   maximum is the nearest neighbor; each row keeps its top 3.
+- The first set is processed in blocks of 256 rows: each block is
+  prescaled and cast on its own, and its scores fill one float32 buffer
+  of 256 × (second-set size) that is allocated once. Working memory thus
+  does not grow with the first set; only the second set is held whole,
+  in float64 and float32, because the refinement gathers from it.
 - The candidates' distances are recomputed in float64 from explicit
   differences, `sum((b - a)**2)`, and ordered by (distance, index).
 - A rounding bound e_i guards the screening. A row whose float32 gap
@@ -20,7 +25,8 @@ Search is exact brute force over Euclidean distances. One kernel,
 
 The result is exact: the nearest index, its distance and the ratio are
 those of explicit float64 differences with ties broken by the smaller
-index, whatever the float32 rounding did.
+index, whatever the float32 rounding did, and so whatever the block
+size.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ import numpy as np
 
 from .core import KeypointSet, MatchSet
 
-_CHUNK = 1024
+_CHUNK = 256
 _CANDIDATES = 3
 _U32 = 2.0 ** -24        # unit roundoff of float32
 _U64 = 2.0 ** -53        # unit roundoff of float64
@@ -105,23 +111,23 @@ def _nearest(a: np.ndarray, b: np.ndarray):
     n2 = b.shape[0]
     amax = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
     shift = int(np.frexp(amax)[1])
-    a = np.ldexp(a, -shift)
     b = np.ldexp(b, -shift)
-    a32 = a.astype(np.float32)
     b32 = b.astype(np.float32)
     sq_b = np.einsum("ij,ij->i", b, b)
     half32 = (0.5 * sq_b).astype(np.float32)
-    bound = _screen_bound(np.sqrt(np.einsum("ij,ij->i", a, a)),
-                          math.sqrt(np.max(sq_b)), d)
+    max_b = math.sqrt(np.max(sq_b))
     k = min(_CANDIDATES, n2)
     ncol = min(2, n2)
 
     idx = np.empty(n1, dtype=np.int64)
     sq = np.empty((n1, ncol), dtype=np.float64)
     recheck = np.zeros(n1, dtype=bool)
+    buf = np.empty((min(_CHUNK, n1), n2), dtype=np.float32)
     for lo in range(0, n1, _CHUNK):
         hi = min(lo + _CHUNK, n1)
-        score = a32[lo:hi] @ b32.T
+        block = np.ldexp(a[lo:hi], -shift)
+        bound = _screen_bound(np.sqrt(np.einsum("ij,ij->i", block, block)), max_b, d)
+        score = np.matmul(block.astype(np.float32), b32.T, out=buf[:hi - lo])
         score -= half32
         rows = np.arange(hi - lo)
         cand = np.empty((hi - lo, k), dtype=np.int64)
@@ -131,13 +137,15 @@ def _nearest(a: np.ndarray, b: np.ndarray):
             top[:, c] = score[rows, cand[:, c]]
             score[rows, cand[:, c]] = -np.inf
         if n2 > k:
-            recheck[lo:hi] = top[:, 1] - top[:, -1] <= 2.0 * bound[lo:hi]
-        diff = b[cand] - a[lo:hi, None]
+            recheck[lo:hi] = top[:, 1] - top[:, -1] <= 2.0 * bound
+        diff = b[cand] - block[:, None]
         dd = np.sum(diff * diff, axis=-1)
         for r in np.flatnonzero(recheck[lo:hi]):
-            near = np.union1d(cand[r], np.flatnonzero(
-                score[r] >= top[r, 1] - 2.0 * bound[lo + r]))
-            diff = b[near] - a[lo + r]
+            # The candidates' scores are -inf by now, so the two index sets
+            # are disjoint and their sorted concatenation is their union.
+            near = np.sort(np.concatenate((cand[r], np.flatnonzero(
+                score[r] >= top[r, 1] - 2.0 * bound[r]))))
+            diff = b[near] - block[r]
             full = np.sum(diff * diff, axis=1)
             pick = np.argsort(full, kind="stable")[:k]
             cand[r] = near[pick]

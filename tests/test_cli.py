@@ -229,6 +229,29 @@ class TestExitCodes:
         assert code == 2
         assert "bad.txt:1" in capsys.readouterr().err
 
+    def test_huge_declared_counts(self, tmp_path, capsys):
+        # The readers size their arrays from the rows present, not from
+        # the header, so these end in a parse error and not in MemoryError.
+        kp1, kp2, mt = synth_files(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("ADALAM-KP 1 100000000000 4 10 10\n1 2 1 0 0 0 0 0\n")
+        code = main(["match", "--keypoints1", str(bad), "--keypoints2", str(kp2),
+                     "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "bad.txt:3: expected 100000000000 rows" in capsys.readouterr().err
+        bad.write_text("ADALAM-MT 1 100000000000 0\n")
+        code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                     "--matches", str(bad), "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "bad.txt:2: expected 100000000000 rows" in capsys.readouterr().err
+
+    def test_index_beyond_int64(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("ADALAM-MT 1 1 1\n99999999999999999999 0 0.5 0.5 1\n")
+        code = main(["eval", "--selected", str(bad), "--matches", str(bad)])
+        assert code == 2
+        assert "bad.txt:2: index does not fit" in capsys.readouterr().err
+
     def test_synth_without_room_for_patches(self, tmp_path, capsys):
         kp1 = tmp_path / "kp1.txt"
         code = main(["synth", "--patches", "60", "--keypoints-per-patch", "160",
@@ -250,14 +273,39 @@ class TestExitCodes:
         assert "gt" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    """Every CLI subcommand is its own process; importing scipy.spatial
-    alone once cost each of them about 0.45 s."""
+def run_fresh(code):
+    """stdout of code run in a fresh interpreter that imports adalam from here."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(adalam.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, adalam.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """Every CLI subcommand is its own process; importing scipy.spatial
+    alone once cost each of them about 0.45 s."""
+    code = ("import sys, adalam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_fresh(code) == "[]"
+
+
+def test_pipeline_loads_no_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma, which cost each CLI process about 20 ms."""
+    code = f"""
+import os, sys
+from adalam import (ImageSize, SynthConfig, adalam_filter, generate_scene, nn_match,
+                    read_keypoints, read_matches, write_keypoints, write_matches)
+size = ImageSize(640, 480)
+scene = generate_scene(SynthConfig(size, size, 5, 20, 200, descriptor_dim=32))
+kp, mt = os.path.join({str(tmp_path)!r}, "kp.txt"), os.path.join({str(tmp_path)!r}, "mt.txt")
+write_keypoints(kp, size, scene.k1)
+write_matches(mt, scene.matches, gt=scene.gt_inlier)
+read_keypoints(kp)
+read_matches(mt)
+matches = nn_match(scene.k1, scene.k2)
+adalam_filter(scene.k1, scene.k2, size, size, matches)
+print("numpy.ma" in sys.modules)
+"""
+    assert run_fresh(code) == "False"

@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,17 @@ def make_matches(m, seed=0):
     )
 
 
+def read_with_small_peak(reader, path):
+    """reader(path), failing if it allocates 1 MB or more on the way."""
+    tracemalloc.start()
+    try:
+        return reader(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1e6
+
+
 class TestKeypointRoundTrip:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "kp.txt"
@@ -81,6 +93,12 @@ class TestKeypointRoundTrip:
         path.write_text(broken)  # 5 declared, 4 present
         with pytest.raises(ParseError, match=r"kp\.txt:6:"):
             read_keypoints(path)
+
+    def test_huge_declared_count_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "kp.txt"
+        path.write_text("ADALAM-KP 1 100000000000 4 10 10\n1 2 1 0 0 0 0 0\n")
+        with pytest.raises(ParseError, match=r"kp\.txt:3: expected 100000000000 rows"):
+            read_with_small_peak(read_keypoints, path)
 
     def test_extra_rows_rejected(self, tmp_path):
         path = tmp_path / "kp.txt"
@@ -181,6 +199,19 @@ class TestMatchRoundTrip:
         with pytest.raises(ParseError, match=":3:"):
             read_matches(path)
 
+    def test_huge_declared_count_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "mt.txt"
+        path.write_text("ADALAM-MT 1 100000000000 0\n0 1 0.5 0.5\n")
+        with pytest.raises(ParseError, match=r"mt\.txt:3: expected 100000000000 rows"):
+            read_with_small_peak(read_matches, path)
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-9223372036854775809"])
+    def test_index_beyond_int64_is_a_parse_error(self, tmp_path, index):
+        path = tmp_path / "mt.txt"
+        path.write_text(f"ADALAM-MT 1 2 0\n0 1 0.5 0.5\n1 {index} 0.5 0.5\n")
+        with pytest.raises(ParseError, match=r"mt\.txt:3: index does not fit"):
+            read_matches(path)
+
     def test_bad_gt_flag(self, tmp_path):
         path = tmp_path / "mt.txt"
         path.write_text("ADALAM-MT 1 1 1\n0 1 0.5 0.5 2\n")
@@ -267,18 +298,41 @@ def match_sets(draw):
     return matches, gt
 
 
+def per_field_keypoint_text(kps):
+    alpha = wrap_angle(kps.alpha) if len(kps) else kps.alpha
+    rows = [f"ADALAM-KP 1 {len(kps)} {kps.dim} {SIZE.width} {SIZE.height}"]
+    for k in range(len(kps)):
+        values = [kps.xy[k, 0], kps.xy[k, 1], kps.sigma[k], alpha[k], *kps.desc[k]]
+        rows.append(" ".join(f"{v:.9g}" for v in values))
+    return ("\n".join(rows) + "\n").encode()
+
+
 class TestWriterProperties:
     @PROPERTY
     @given(keypoint_sets())
     def test_keypoints_equal_per_field_format(self, scratch, kps):
         path = scratch / "kp.txt"
         write_keypoints(path, SIZE, kps)
-        alpha = wrap_angle(kps.alpha) if len(kps) else kps.alpha
-        rows = [f"ADALAM-KP 1 {len(kps)} {kps.dim} {SIZE.width} {SIZE.height}"]
-        for k in range(len(kps)):
-            values = [kps.xy[k, 0], kps.xy[k, 1], kps.sigma[k], alpha[k], *kps.desc[k]]
-            rows.append(" ".join(f"{v:.9g}" for v in values))
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert path.read_bytes() == per_field_keypoint_text(kps)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_keypoints_across_write_blocks(self, tmp_path, n):
+        # The writer formats fileio._WRITE_ROWS rows at a time.
+        path = tmp_path / "kp.txt"
+        kps = make_keypoints(n, dim=3, seed=n)
+        write_keypoints(path, SIZE, kps)
+        assert path.read_bytes() == per_field_keypoint_text(kps)
+
+    def test_keypoint_writer_memory_is_bounded(self, tmp_path):
+        path = tmp_path / "kp.txt"
+        kps = make_keypoints(16000, dim=128)
+        tracemalloc.start()
+        try:
+            write_keypoints(path, SIZE, kps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
     @PROPERTY
     @given(match_sets())
@@ -297,13 +351,18 @@ class TestWriterProperties:
 
 
 TOKENS = ["nan", "inf", "-inf", "1_000", "-0", "1e400", "0x10", "+.5", "2.5e-310", "", "x"]
+# Tokens an integer parser may read differently from int().
+INT_TOKENS = TOKENS + ["5.", "5e0", "+5", "-1", "2", "007", "99999999999999999999",
+                       "9223372036854775807", "\u0663", " 1"]
 
 
-def mutate(text, kind, at):
-    """One edit of a keypoint file's text at a position chosen by at."""
+def mutate(text, kind, at, tokens=TOKENS):
+    """One edit of a keypoint or match file's text at a position chosen by at."""
     if kind == "crlf":
         return text.replace("\n", "\r\n")
     lines = text.split("\n")
+    if len(lines) < 2:   # a "cr" edit joined the last line to the header
+        lines.append("")
     i = 1 + at % max(1, len(lines) - 2)   # a body line, or just after the header
     row = lines[i].split(" ") if i < len(lines) else [""]
     if kind == "insert":
@@ -311,7 +370,7 @@ def mutate(text, kind, at):
     elif kind == "cr":
         lines[i - 1] += "\r" + lines.pop(i)
     elif kind == "token":
-        row[at % len(row)] = TOKENS[at % len(TOKENS)]
+        row[at % len(row)] = tokens[at % len(tokens)]
         lines[i] = " ".join(row)
     elif kind == "extra":
         lines[i] += [" 7", " # note", "\t", " 7\x0b8"][at % 4]
@@ -324,6 +383,11 @@ def mutate(text, kind, at):
         head[2] = str(max(0, int(head[2]) + (1 if at % 2 else -1)))
         lines[0] = " ".join(head)
     return "\n".join(lines)
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(["crlf", "insert", "cr", "token", "extra",
+                                            "missing", "separator", "count"]),
+                           st.integers(0, 10**6)), min_size=1, max_size=3)
 
 
 def read_outcome(path):
@@ -344,10 +408,7 @@ class TestReaderProperties:
             assert read_outcome(path) == expect
 
     @PROPERTY
-    @given(keypoint_sets(),
-           st.lists(st.tuples(st.sampled_from(["crlf", "insert", "cr", "token", "extra",
-                                               "missing", "separator", "count"]),
-                              st.integers(0, 10**6)), min_size=1, max_size=3))
+    @given(keypoint_sets(), EDITS)
     def test_fast_path_equals_row_parser(self, scratch, kps, edits):
         path = scratch / "kp.txt"
         write_keypoints(path, SIZE, kps)
@@ -358,3 +419,34 @@ class TestReaderProperties:
         got = read_outcome(path)
         with mock.patch.object(fileio, "_load_rows", return_value=None):
             assert read_outcome(path) == got
+
+
+def read_match_outcome(path):
+    try:
+        matches, gt = read_matches(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return (matches.idx1.tobytes(), matches.idx2.tobytes(), matches.dist.tobytes(),
+            matches.ratio.tobytes(), None if gt is None else gt.tobytes())
+
+
+class TestMatchReaderProperties:
+    def test_fast_path_reads_written_files(self, tmp_path):
+        path = tmp_path / "mt.txt"
+        write_matches(path, make_matches(7), gt=np.arange(7) % 2 == 0)
+        expect = read_match_outcome(path)
+        with mock.patch.object(fileio, "_parse_match_rows", side_effect=AssertionError):
+            assert read_match_outcome(path) == expect
+
+    @PROPERTY
+    @given(match_sets(), EDITS)
+    def test_fast_path_equals_row_parser(self, scratch, matches_gt, edits):
+        path = scratch / "mt.txt"
+        write_matches(path, *matches_gt)
+        text = path.read_text()
+        for kind, at in edits:
+            text = mutate(text, kind, at, INT_TOKENS)
+        path.write_bytes(text.encode())
+        got = read_match_outcome(path)
+        with mock.patch.object(fileio, "_load_match_rows", return_value=None):
+            assert read_match_outcome(path) == got

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,45 @@ class TestScreeningGuard:
         monkeypatch.setattr(matching, "_screen_bound", lambda norm_a, max_b, d: 0.0 * norm_a)
         idx, _, _, recheck = matching._nearest(np.array(NEAR_TIE[0]), np.array(NEAR_TIE[1]))
         assert list(recheck) == [True] and list(idx) == [3]
+
+
+class TestBlocks:
+    """The first set is searched in blocks of matching._CHUNK rows."""
+
+    @pytest.mark.parametrize("n1", [255, 256, 257, 513])
+    def test_block_seams_match_oracle(self, n1):
+        rng = np.random.default_rng(n1)
+        d1 = rng.normal(size=(n1, 16))
+        d2 = rng.normal(size=(300, 16))
+        # Rows of the second and third blocks get three second-set rows a
+        # hair apart, which float32 cannot order.
+        planted = [r for r in (256, 300, 511, 512) if r < n1]
+        for k, r in enumerate(planted):
+            base = 3 * k
+            d2[base + 1:base + 3] = d2[base] + 1e-9 * rng.normal(size=(2, 16))
+            d1[r] = d2[base] + 1e-3 * rng.normal(size=16)
+        idx, dist, ratio, recheck = matching._nearest(d1, d2)
+        oracle = explicit_nn(d1, d2)
+        assert np.array_equal(idx, oracle[0])
+        assert np.array_equal(dist, oracle[1])
+        assert np.array_equal(ratio, oracle[2])
+        assert recheck[planted].all()
+        m = nn_match(kps_from_desc(d1), kps_from_desc(d2))
+        assert np.array_equal(m.idx2, idx)
+
+    def test_working_memory_is_bounded(self):
+        # About 13 MB: the second set in float64 and float32 and one
+        # 256 x 4000 float32 score buffer; once 44 MB.
+        rng = np.random.default_rng(15)
+        k1 = kps_from_desc(rng.normal(size=(4000, 128)))
+        k2 = kps_from_desc(rng.normal(size=(4000, 128)))
+        tracemalloc.start()
+        try:
+            nn_match(k1, k2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 @st.composite
