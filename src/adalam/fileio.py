@@ -7,9 +7,14 @@ are `x y sigma alpha d0 ... d{dim-1}`; match rows are
 Files are written atomically: no partial output remains on failure.
 Keypoint files are formatted and written 1024 rows at a time, so the
 writer's working memory does not grow with the row count.
+
+One table reader serves both formats. Blank lines are skipped, fields are
+split on whitespace and each fault raises ParseError naming file:line;
+values the containers refuse, such as a sigma of 0, are reported at line 1.
 """
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import warnings
@@ -69,80 +74,6 @@ def _keypoint_text(size: ImageSize, kps: KeypointSet):
         yield "".join([fmt % tuple(r.tolist()) for r in data])
 
 
-def _read_lines(path):
-    with open(path, "r") as fh:
-        return fh.read().splitlines()
-
-
-def read_keypoints(path) -> Tuple[ImageSize, KeypointSet]:
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
-        raise ParseError(path, 1, "missing header")
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != KEYPOINT_MAGIC:
-        raise ParseError(path, 1, f"expected header '{KEYPOINT_MAGIC} 1 count dim w h'")
-    if head[1] != FORMAT_VERSION:
-        raise ParseError(path, 1, f"unsupported version {head[1]!r}")
-    try:
-        count, dim, width, height = (int(v) for v in head[2:])
-    except ValueError:
-        raise ParseError(path, 1, "header fields must be integers") from None
-    if count < 0 or dim < 1:
-        raise ParseError(path, 1, "invalid count or descriptor dimension")
-    size = ImageSize(width, height)
-
-    data = _load_rows(lines[1:], count, 4 + dim)
-    if data is None:
-        data = _parse_rows(path, lines, count, 4 + dim)
-    kps = KeypointSet(
-        xy=data[:, 0:2], sigma=data[:, 2], alpha=data[:, 3], desc=data[:, 4:]
-    )
-    return size, kps
-
-
-def _load_rows(body, count, ncol) -> Optional[np.ndarray]:
-    """The (count, ncol) finite float rows of body, or None to parse them
-    row by row.
-
-    body holds the lines after the header, as str.splitlines cut them.
-    np.loadtxt splits fields on the same whitespace as str.split and parses
-    floats as float() does, except that it refuses '_' digit separators and
-    non-ASCII digits; whatever it refuses goes to the row parser too."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            data = np.loadtxt(body, comments=None, ndmin=2)
-    except (ValueError, UserWarning):
-        return None
-    if data.shape != (count, ncol) or not np.all(np.isfinite(data)):
-        return None
-    return data
-
-
-def _parse_rows(path, lines, count, ncol) -> np.ndarray:
-    """Rows of a keypoint file's lines, raising ParseError at the first fault."""
-    data = np.empty((min(count, len(lines) - 1), ncol))
-    row = 0
-    for offset, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        if row >= count:
-            raise ParseError(path, offset, f"more rows than declared count {count}")
-        fields = ln.split()
-        if len(fields) != ncol:
-            raise ParseError(path, offset, f"expected {ncol} fields, got {len(fields)}")
-        try:
-            data[row] = [float(v) for v in fields]
-        except ValueError:
-            raise ParseError(path, offset, "non-numeric field") from None
-        if not np.all(np.isfinite(data[row])):
-            raise ParseError(path, offset, "non-finite value")
-        row += 1
-    if row != count:
-        raise ParseError(path, len(lines) + 1, f"expected {count} rows, found {row}")
-    return data
-
-
 def write_matches(path, matches: MatchSet, gt: Optional[np.ndarray] = None):
     has_gt = gt is not None
     if has_gt:
@@ -160,74 +91,98 @@ def write_matches(path, matches: MatchSet, gt: Optional[np.ndarray] = None):
     _atomic_write(path, ["\n".join(rows) + "\n"])
 
 
+def read_keypoints(path) -> Tuple[ImageSize, KeypointSet]:
+    lines = _read_lines(path)
+    count, dim, width, height = _read_header(path, lines, KEYPOINT_MAGIC,
+                                             "count dim w h")
+    if count < 0 or dim < 1:
+        raise ParseError(path, 1, "invalid count or descriptor dimension")
+    size = _build(path, ImageSize, width=width, height=height)
+    kp = _read_rows(path, lines, count, [("kp", float, 4 + dim)])["kp"]
+    return size, _build(path, KeypointSet, xy=kp[:, 0:2], sigma=kp[:, 2], alpha=kp[:, 3],
+                        desc=kp[:, 4:])
+
+
+# A column is (name, parser, width): width fields parsed by float (finite
+# floats), np.int64 (which raises OverflowError beyond int64) or int (0/1 flags).
+_MATCH_COLUMNS = [("idx", np.int64, 2), ("score", float, 2), ("gt", int, 1)]
+
+
 def read_matches(path) -> Tuple[MatchSet, Optional[np.ndarray]]:
     """Read a match file; index-vs-keypoint range checks happen downstream."""
     lines = _read_lines(path)
+    count, has_gt = _read_header(path, lines, MATCH_MAGIC, "count has_gt")
+    if count < 0 or has_gt not in (0, 1):
+        raise ParseError(path, 1, "invalid count or gt flag")
+    rows = _read_rows(path, lines, count, _MATCH_COLUMNS[:2 + has_gt])
+    matches = _build(path, MatchSet, *rows["idx"].T, *rows["score"].T)
+    return matches, rows["gt"][:, 0] == 1 if has_gt else None
+
+
+def _read_lines(path):
+    with open(path, "r") as fh:
+        return fh.read().splitlines()
+
+
+def _read_header(path, lines, magic, names):
+    """The integer header fields called names, after the magic and version."""
     if not lines or not lines[0].strip():
         raise ParseError(path, 1, "missing header")
     head = lines[0].split()
-    if len(head) != 4 or head[0] != MATCH_MAGIC:
-        raise ParseError(path, 1, f"expected header '{MATCH_MAGIC} 1 count has_gt'")
+    if len(head) != 2 + len(names.split()) or head[0] != magic:
+        raise ParseError(path, 1, f"expected header '{magic} {FORMAT_VERSION} {names}'")
     if head[1] != FORMAT_VERSION:
         raise ParseError(path, 1, f"unsupported version {head[1]!r}")
     try:
-        count = int(head[2])
-        has_gt = int(head[3])
+        return [int(v) for v in head[2:]]
     except ValueError:
         raise ParseError(path, 1, "header fields must be integers") from None
-    if count < 0 or has_gt not in (0, 1):
-        raise ParseError(path, 1, "invalid count or gt flag")
-    columns = _load_match_rows(lines[1:], count, has_gt)
-    if columns is None:
-        columns = _parse_match_rows(path, lines, count, has_gt)
-    idx1, idx2, dist, ratio, gt = columns
+
+
+def _build(path, make, *args, **kwargs):
+    """make(*args, **kwargs), with its refusal reported at line 1 of path."""
     try:
-        matches = MatchSet(idx1=idx1, idx2=idx2, dist=dist, ratio=ratio)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
-    return matches, gt
 
 
-_MATCH_FIELDS = [("idx1", np.int64), ("idx2", np.int64), ("dist", np.float64),
-                 ("ratio", np.float64), ("gt", np.int64)]
+def _read_rows(path, lines, count, columns):
+    """The count rows after the header, as a structured array with one
+    (count, width) field per column."""
+    dtype = _build(path, np.dtype, [(name, np.float64 if parse is float else np.int64, width)
+                                    for name, parse, width in columns])
+    rows = _load_rows(lines[1:], count, dtype, columns)
+    return _parse_rows(path, lines, count, dtype, columns) if rows is None else rows
 
 
-def _load_match_rows(body, count, has_gt):
-    """The columns (idx1, idx2, dist, ratio, gt) of body's count match rows,
-    or None to parse them row by row.
+def _load_rows(body, count, dtype, columns) -> Optional[np.ndarray]:
+    """The count rows of body, or None to parse them row by row.
 
-    As in _load_rows, np.loadtxt splits and parses the floats as the row
-    parser does. The index and gt columns go through its integer parser,
-    which refuses '5.', '5e0' and values beyond int64 as the row parser
-    does; it also refuses '_' separators and non-ASCII digits, which the
-    row parser accepts."""
+    body holds the lines after the header, as str.splitlines cut them.
+    np.loadtxt splits fields on the same whitespace as str.split and parses
+    floats as float() does. Its integer parser refuses '5.', '5e0' and
+    values beyond int64 as the row parser does. It also refuses '_' digit
+    separators and non-ASCII digits, which the row parser accepts; whatever
+    it refuses goes to the row parser too."""
+    first = next((ln for ln in body if ln.strip()), "")
+    if len(first.split()) != sum(width for _, _, width in columns):
+        return None   # np.loadtxt would set up each declared field before failing
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
-            data = np.loadtxt(body, dtype=_MATCH_FIELDS[:4 + has_gt],
-                              comments=None, ndmin=1)
+            rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, UserWarning):
         return None
-    if (data.shape != (count,) or not np.all(np.isfinite(data["dist"]))
-            or not np.all(np.isfinite(data["ratio"]))):
+    if rows.shape != (count,) or _fault(columns, [rows[name] for name, _, _ in columns]):
         return None
-    gt = None
-    if has_gt:
-        if np.any((data["gt"] != 0) & (data["gt"] != 1)):
-            return None
-        gt = data["gt"] == 1
-    return data["idx1"], data["idx2"], data["dist"], data["ratio"], gt
+    return rows
 
 
-def _parse_match_rows(path, lines, count, has_gt):
-    """Columns of a match file's lines, raising ParseError at the first fault."""
-    ncol = 4 + has_gt
-    rows = min(count, len(lines) - 1)
-    idx1 = np.empty(rows, dtype=np.int64)
-    idx2 = np.empty(rows, dtype=np.int64)
-    dist = np.empty(rows)
-    ratio = np.empty(rows)
-    gt = np.empty(rows, dtype=bool) if has_gt else None
+def _parse_rows(path, lines, count, dtype, columns) -> np.ndarray:
+    """The rows of a file's lines, raising ParseError at the first fault."""
+    ncol = sum(width for _, _, width in columns)
+    rows = np.empty(min(count, len(lines) - 1), dtype)
     row = 0
     for offset, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -237,28 +192,33 @@ def _parse_match_rows(path, lines, count, has_gt):
         fields = ln.split()
         if len(fields) != ncol:
             raise ParseError(path, offset, f"expected {ncol} fields, got {len(fields)}")
+        tokens = iter(fields)
         try:
-            idx1[row] = int(fields[0])
-            idx2[row] = int(fields[1])
-            dist[row] = float(fields[2])
-            ratio[row] = float(fields[3])
-            if has_gt:
-                flag = int(fields[4])
-                if flag not in (0, 1):
-                    raise ParseError(path, offset, "gt flag must be 0 or 1")
-                gt[row] = bool(flag)
+            groups = [[parse(next(tokens)) for _ in range(width)]
+                      for _, parse, width in columns]
         except OverflowError:
             raise ParseError(path, offset, "index does not fit in int64") from None
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(path, offset, "malformed field") from None
-        if not (np.isfinite(dist[row]) and np.isfinite(ratio[row])):
-            raise ParseError(path, offset, "non-finite value")
+        except ValueError:
+            raise ParseError(path, offset, "non-numeric field") from None
+        fault = _fault(columns, groups)
+        if fault:
+            raise ParseError(path, offset, fault)
+        rows[row] = tuple(groups)
         row += 1
     if row != count:
         raise ParseError(path, len(lines) + 1, f"expected {count} rows, found {row}")
-    return idx1, idx2, dist, ratio, gt
+    return rows
+
+
+def _fault(columns, groups) -> Optional[str]:
+    """The first rule the columns' values break, or None: gt flags must be
+    0 or 1, then floats must be finite."""
+    values = [(parse, np.asarray(g)) for (_, parse, _), g in zip(columns, groups)]
+    if any(parse is int and np.any((g != 0) & (g != 1)) for parse, g in values):
+        return "gt flag must be 0 or 1"
+    if any(parse is float and not np.all(np.isfinite(g)) for parse, g in values):
+        return "non-finite value"
+    return None
 
 
 def read_errors(path) -> np.ndarray:

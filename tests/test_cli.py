@@ -252,6 +252,34 @@ class TestExitCodes:
         assert code == 2
         assert "bad.txt:2: index does not fit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("ADALAM-KP 1 1 2 10 10\n1 2 0 0 0.5 0.5\n", "KeypointSet: sigma must be finite"),
+        ("ADALAM-KP 1 1 2 10 10\n1 2 1 4 0.5 0.5\n", "KeypointSet: alpha must lie in"),
+        ("ADALAM-KP 1 1 2 0 10\n1 2 1 0 0.5 0.5\n", "ImageSize: width and height"),
+    ], ids=["sigma", "alpha", "width"])
+    def test_refused_keypoint_values_name_the_file(self, tmp_path, capsys, text, message):
+        # match and filter each read two keypoint files: the error says which.
+        kp1, kp2, mt = synth_files(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = main(["match", "--keypoints1", str(kp1), "--keypoints2", str(bad),
+                     "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert f"bad.txt:1: {message}" in capsys.readouterr().err
+        code = main(["filter", "--keypoints1", str(bad), "--keypoints2", str(kp2),
+                     "--matches", str(mt), "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert f"bad.txt:1: {message}" in capsys.readouterr().err
+
+    def test_refused_match_values_name_the_file(self, tmp_path, capsys):
+        kp1, kp2, _ = synth_files(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("ADALAM-MT 1 1 0\n0 1 0.5 1.5\n")
+        code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                     "--matches", str(bad), "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "bad.txt:1: MatchSet: ratio must lie in [0, 1]" in capsys.readouterr().err
+
     def test_synth_without_room_for_patches(self, tmp_path, capsys):
         kp1 = tmp_path / "kp1.txt"
         code = main(["synth", "--patches", "60", "--keypoints-per-patch", "160",

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import tracemalloc
 from unittest import mock
@@ -212,6 +213,12 @@ class TestMatchRoundTrip:
         with pytest.raises(ParseError, match=r"mt\.txt:3: index does not fit"):
             read_matches(path)
 
+    def test_non_finite_value(self, tmp_path):
+        path = tmp_path / "mt.txt"
+        path.write_text("ADALAM-MT 1 2 0\n0 1 0.5 0.5\n1 1 nan 0.5\n")
+        with pytest.raises(ParseError, match=r"mt\.txt:3: non-finite value"):
+            read_matches(path)
+
     def test_bad_gt_flag(self, tmp_path):
         path = tmp_path / "mt.txt"
         path.write_text("ADALAM-MT 1 1 1\n0 1 0.5 0.5 2\n")
@@ -229,6 +236,64 @@ class TestMatchRoundTrip:
         write_matches(path, MatchSet.empty())
         got, gt = read_matches(path)
         assert len(got) == 0 and gt is None
+
+
+KP_HEAD = "ADALAM-KP 1 1 2 10 10"
+
+
+class TestHeaderFaults:
+    @pytest.mark.parametrize("head, message", [
+        ("ADALAM-KP 1 1 2 10", "expected header 'ADALAM-KP 1 count dim w h'"),
+        ("ADALAM-KP 2 1 2 10 10", "unsupported version '2'"),
+        ("ADALAM-KP 1 1 2.0 10 10", "header fields must be integers"),
+        ("ADALAM-KP 1 -1 2 10 10", "invalid count or descriptor dimension"),
+        ("ADALAM-KP 1 1 0 10 10", "invalid count or descriptor dimension"),
+        ("ADALAM-MT 1 1 0 0", "expected header 'ADALAM-MT 1 count has_gt'"),
+        ("ADALAM-MT 2 1 0", "unsupported version '2'"),
+        ("ADALAM-MT 1 one 0", "header fields must be integers"),
+        ("ADALAM-MT 1 -1 0", "invalid count or gt flag"),
+        ("ADALAM-MT 1 1 2", "invalid count or gt flag"),
+    ], ids=["kp-fields", "kp-version", "kp-integer", "kp-count", "kp-dim",
+            "mt-fields", "mt-version", "mt-integer", "mt-count", "mt-has-gt"])
+    def test_fault_at_line_1(self, tmp_path, head, message):
+        path = tmp_path / "bad.txt"
+        body = "1 2 1 0 0.5 0.5" if head.startswith("ADALAM-KP") else "0 1 0.5 0.5"
+        path.write_text(f"{head}\n{body}\n")
+        reader = read_keypoints if head.startswith("ADALAM-KP") else read_matches
+        with pytest.raises(ParseError, match=r"bad\.txt:1: " + re.escape(message) + "$"):
+            reader(path)
+
+    @pytest.mark.parametrize("dim", [2**29, 10**20])
+    @pytest.mark.parametrize("body", ["", "1 2 1 0 0.5 0.5\n"], ids=["no-rows", "one-row"])
+    def test_descriptor_dimension_beyond_a_record(self, tmp_path, dim, body):
+        # A record of 4 + dim float64s must fit numpy's 2 GB record limit.
+        path = tmp_path / "kp.txt"
+        path.write_text(f"ADALAM-KP 1 {int(bool(body))} {dim} 10 10\n{body}")
+        with pytest.raises(ParseError, match=r"kp\.txt:1: "):
+            read_with_small_peak(read_keypoints, path)
+
+
+class TestContainerRefusals:
+    """Values the containers refuse are reported at line 1, naming the file."""
+
+    @pytest.mark.parametrize("text, message", [
+        (f"{KP_HEAD}\n1 2 0 0 0.5 0.5\n", "KeypointSet: sigma must be finite and > 0"),
+        (f"{KP_HEAD}\n1 2 1 4 0.5 0.5\n", "KeypointSet: alpha must lie in (-pi, pi]"),
+        ("ADALAM-KP 1 1 2 0 10\n1 2 1 0 0.5 0.5\n",
+         "ImageSize: width and height must be positive"),
+    ], ids=["sigma", "alpha", "width"])
+    def test_keypoints(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"bad\.txt:1: " + re.escape(message) + "$"):
+            read_keypoints(path)
+
+    def test_matches(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("ADALAM-MT 1 1 0\n0 1 0.5 1.5\n")
+        message = re.escape("MatchSet: ratio must lie in [0, 1]")
+        with pytest.raises(ParseError, match=r"bad\.txt:1: " + message + "$"):
+            read_matches(path)
 
 
 class TestReadErrors:
@@ -435,7 +500,7 @@ class TestMatchReaderProperties:
         path = tmp_path / "mt.txt"
         write_matches(path, make_matches(7), gt=np.arange(7) % 2 == 0)
         expect = read_match_outcome(path)
-        with mock.patch.object(fileio, "_parse_match_rows", side_effect=AssertionError):
+        with mock.patch.object(fileio, "_parse_rows", side_effect=AssertionError):
             assert read_match_outcome(path) == expect
 
     @PROPERTY
@@ -448,5 +513,5 @@ class TestMatchReaderProperties:
             text = mutate(text, kind, at, INT_TOKENS)
         path.write_bytes(text.encode())
         got = read_match_outcome(path)
-        with mock.patch.object(fileio, "_load_match_rows", return_value=None):
+        with mock.patch.object(fileio, "_load_rows", return_value=None):
             assert read_match_outcome(path) == got
