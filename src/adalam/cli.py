@@ -1,11 +1,14 @@
 """Command-line pipeline: synth -> match -> filter -> eval, plus bench.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-standard error; data goes to files or standard output only.
+standard error; data goes to files or standard output only. Each flag
+that sets an AdalamParams or SynthConfig field stores its value under
+that field's name.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -44,9 +47,9 @@ def _add_adalam_flags(p: argparse.ArgumentParser):
                    help="adaptive confidence threshold")
     p.add_argument("--t-n", type=int, default=_DEFAULTS.t_n,
                    help="minimum inliers for an accepted seed")
-    p.add_argument("--no-side-info", action="store_true",
+    p.add_argument("--no-side-info", dest="use_side_info", action="store_false",
                    help="disable orientation/scale neighborhood filtering")
-    p.add_argument("--no-refit", action="store_true",
+    p.add_argument("--no-refit", dest="use_refit", action="store_false",
                    help="disable the least-squares refit on inliers")
     p.add_argument("--fixed-threshold", type=float, default=_DEFAULTS.fixed_threshold,
                    help="fixed residual threshold in pixels, replaces the "
@@ -55,20 +58,20 @@ def _add_adalam_flags(p: argparse.ArgumentParser):
                    help="residual clamp fraction of the image-2 radius")
 
 
-def _params_from_args(args) -> AdalamParams:
-    return AdalamParams(
-        area_ratio=args.area_ratio,
-        lam=args.lam,
-        iterations=args.iterations,
-        t_alpha=args.t_alpha,
-        t_sigma=args.t_sigma,
-        t_c=args.t_c,
-        t_n=args.t_n,
-        use_side_info=not args.no_side_info,
-        use_refit=not args.no_refit,
-        fixed_threshold=args.fixed_threshold,
-        eps_residual=args.eps_residual,
-    )
+def _add_scene_flags(p: argparse.ArgumentParser, noise_sigma: float):
+    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--patches", dest="n_patches", metavar="PATCHES", type=int, default=5)
+    p.add_argument("--keypoints-per-patch", type=int, default=20)
+    p.add_argument("--outliers", dest="n_outliers", metavar="OUTLIERS", type=int,
+                   default=233)
+    p.add_argument("--noise-sigma", type=float, default=noise_sigma)
+
+
+def _config(cls, args, **fields):
+    """cls built from the parsed arguments named after its fields; the
+    keyword arguments set or replace fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**{k: v for k, v in vars(args).items() if k in names}, **fields})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,17 +82,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled scene")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--width1", type=int, default=1000)
     p.add_argument("--height1", type=int, default=1000)
     p.add_argument("--width2", type=int, default=1000)
     p.add_argument("--height2", type=int, default=1000)
-    p.add_argument("--patches", type=int, default=5)
-    p.add_argument("--keypoints-per-patch", type=int, default=20)
-    p.add_argument("--outliers", type=int, default=233)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    _add_scene_flags(p, noise_sigma=0.0)
     p.add_argument("--descriptor-dim", type=int, default=32)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--no-frame-consistent", action="store_true")
+    p.add_argument("--no-frame-consistent", dest="frame_consistent",
+                   action="store_false")
     p.add_argument("--patch-rotation", type=float, default=None,
                    help="fix every patch affine rotation angle (radians)")
     p.add_argument("--out-keypoints1", required=True)
@@ -97,11 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-matches", required=True)
 
     p = sub.add_parser("match", help="brute-force nearest-neighbor matching")
+    p.set_defaults(run=_cmd_match)
     p.add_argument("--keypoints1", required=True)
     p.add_argument("--keypoints2", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("filter", help="filter a match file")
+    p.set_defaults(run=_cmd_filter)
     p.add_argument("--keypoints1", required=True)
     p.add_argument("--keypoints2", required=True)
     p.add_argument("--matches", required=True)
@@ -115,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_adalam_flags(p)
 
     p = sub.add_parser("eval", help="score matches or pose-error lists")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--selected", help="filtered match file")
     p.add_argument("--matches", help="match file with ground-truth column")
     p.add_argument("--errors", help="pose-error list, one value per line")
@@ -124,30 +128,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=float, default=5.0)
 
     p = sub.add_parser("bench", help="F1/wall-time sweep on synthetic scenes")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--scenes", type=int, default=5)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--patches", type=int, default=5)
-    p.add_argument("--keypoints-per-patch", type=int, default=20)
-    p.add_argument("--outliers", type=int, default=233)
-    p.add_argument("--noise-sigma", type=float, default=0.5)
+    _add_scene_flags(p, noise_sigma=0.5)
     p.add_argument("--lam-threshold", type=float, default=1.0,
                    help="fixed residual threshold for the LAM variant")
     return parser
 
 
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        size1=ImageSize(args.width1, args.height1),
-        size2=ImageSize(args.width2, args.height2),
-        n_patches=args.patches,
-        keypoints_per_patch=args.keypoints_per_patch,
-        n_outliers=args.outliers,
-        noise_sigma=args.noise_sigma,
-        descriptor_dim=args.descriptor_dim,
-        rng_seed=args.rng_seed,
-        frame_consistent=not args.no_frame_consistent,
-        patch_rotation=args.patch_rotation,
-    )
+    config = _config(SynthConfig, args, size1=ImageSize(args.width1, args.height1),
+                     size2=ImageSize(args.width2, args.height2))
     scene = generate_scene(config)
     write_keypoints(args.out_keypoints1, config.size1, scene.k1)
     write_keypoints(args.out_keypoints2, config.size2, scene.k2)
@@ -162,21 +153,25 @@ def _cmd_match(args) -> int:
     return 0
 
 
+def _rows_of(matches: MatchSet, kept: MatchSet) -> np.ndarray:
+    """The row indices in matches of kept, an order-preserving subset of it."""
+    order = np.argsort(matches.idx1)   # idx1 is unique in a MatchSet
+    return order[np.searchsorted(matches.idx1, kept.idx1, sorter=order)]
+
+
 def _cmd_filter(args) -> int:
+    if args.report and args.method != "adalam":
+        raise ValueError("--report works only with --method adalam")
     size1, k1 = read_keypoints(args.keypoints1)
     size2, k2 = read_keypoints(args.keypoints2)
     matches, gt = read_matches(args.matches)
     if args.method == "ratio":
-        kept = ratio_test_filter(matches, args.ratio_threshold)
-        sel = np.nonzero(matches.ratio <= args.ratio_threshold)[0]
+        sel = _rows_of(matches, ratio_test_filter(matches, args.ratio_threshold))
     elif args.method == "mutual":
-        kept = mutual_nn_filter(k1, k2, matches)
-        sel = np.nonzero(np.isin(matches.idx1, kept.idx1))[0]
+        sel = _rows_of(matches, mutual_nn_filter(k1, k2, matches))
     else:
-        params = _params_from_args(args)
-        result = adalam_filter(k1, k2, size1, size2, matches, params)
+        result = adalam_filter(k1, k2, size1, size2, matches, _config(AdalamParams, args))
         sel = result.selected
-        kept = matches.take(sel)
         if args.report:
             lines = ["# seed_match_index best_iteration best_inliers accepted"]
             lines.extend(
@@ -185,7 +180,7 @@ def _cmd_filter(args) -> int:
                 for r in result.seed_reports
             )
             _atomic_write(args.report, ["\n".join(lines) + "\n"])
-    write_matches(args.out, kept, gt=gt[sel] if gt is not None else None)
+    write_matches(args.out, matches.take(sel), gt=gt[sel] if gt is not None else None)
     return 0
 
 
@@ -224,44 +219,30 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_BENCH_VARIANTS = (
-    ("adalam", {}),
-    ("no-side", {"use_side_info": False}),
-    ("no-refit", {"use_refit": False}),
-    ("lam", {"use_refit": False}),  # fixed threshold filled in per run
-    ("ratio-test", None),
-)
-
-
 def _cmd_bench(args) -> int:
+    if args.scenes < 1:
+        raise ValueError("--scenes must be at least 1")
     size = ImageSize(1000, 1000)
-    scenes = [
-        generate_scene(SynthConfig(
-            size1=size, size2=size,
-            n_patches=args.patches,
-            keypoints_per_patch=args.keypoints_per_patch,
-            n_outliers=args.outliers,
-            noise_sigma=args.noise_sigma,
-            rng_seed=args.rng_seed + k,
-        ))
-        for k in range(args.scenes)
-    ]
+    scenes = [generate_scene(_config(SynthConfig, args, size1=size, size2=size,
+                                     rng_seed=args.rng_seed + k))
+              for k in range(args.scenes)]
+    variants = (
+        ("adalam", AdalamParams()),
+        ("no-side", AdalamParams(use_side_info=False)),
+        ("no-refit", AdalamParams(use_refit=False)),
+        ("lam", AdalamParams(use_refit=False, fixed_threshold=args.lam_threshold)),
+        ("ratio-test", None),
+    )
     sys.stdout.write(f"{'method':<12} {'mean_f1':>9} {'time_s':>9}\n")
-    for name, overrides in _BENCH_VARIANTS:
+    for name, params in variants:
         f1s = []
         start = time.perf_counter()
         for scene in scenes:
-            if overrides is None:
-                sel = np.nonzero(scene.matches.ratio <= 0.8)[0]
+            if params is None:
+                sel = _rows_of(scene.matches, ratio_test_filter(scene.matches, 0.8))
             else:
-                kw = dict(overrides)
-                if name == "lam":
-                    kw["fixed_threshold"] = args.lam_threshold
-                result = adalam_filter(
-                    scene.k1, scene.k2, size, size, scene.matches,
-                    AdalamParams(**kw),
-                )
-                sel = result.selected
+                sel = adalam_filter(scene.k1, scene.k2, size, size, scene.matches,
+                                    params).selected
             f1s.append(match_prf(sel, scene.gt_inlier).f1)
         elapsed = time.perf_counter() - start
         sys.stdout.write(f"{name:<12} {np.mean(f1s):>9.4f} {elapsed:>9.3f}\n")
@@ -274,15 +255,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    handlers = {
-        "synth": _cmd_synth,
-        "match": _cmd_match,
-        "filter": _cmd_filter,
-        "eval": _cmd_eval,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"adalam {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -182,7 +182,7 @@ def _load_rows(body, count, dtype, columns) -> Optional[np.ndarray]:
 def _parse_rows(path, lines, count, dtype, columns) -> np.ndarray:
     """The rows of a file's lines, raising ParseError at the first fault."""
     ncol = sum(width for _, _, width in columns)
-    rows = np.empty(min(count, len(lines) - 1), dtype)
+    rows = np.empty(0, dtype)
     row = 0
     for offset, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -192,6 +192,8 @@ def _parse_rows(path, lines, count, dtype, columns) -> np.ndarray:
         fields = ln.split()
         if len(fields) != ncol:
             raise ParseError(path, offset, f"expected {ncol} fields, got {len(fields)}")
+        if row == 0:   # reserve only once a row has the declared width
+            rows = np.empty(min(count, len(lines) - 1), dtype)
         tokens = iter(fields)
         try:
             groups = [[parse(next(tokens)) for _ in range(width)]

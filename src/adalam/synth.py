@@ -14,8 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ImageSize, KeypointSet, MatchSet, wrap_angle
+from .core import AdalamParams, ImageSize, KeypointSet, MatchSet, wrap_angle
 from .filtering import compute_radius
+
+_CENTER_SEPARATION = 2.2   # between patch centres in image 1, in seed radii
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,8 @@ class SynthConfig:
     descriptor_dim: int = 32
     rng_seed: int = 0
     frame_consistent: bool = True
-    area_ratio: float = 100.0          # defines the patch disk radius
     patch_rotation: Optional[float] = None   # fix every patch rotation angle
     affine_override: Optional[np.ndarray] = None  # use this 2x2 everywhere
-    min_center_separation: float = 2.2  # in units of the seed radius
 
     def __post_init__(self):
         if self.n_patches < 0 or self.keypoints_per_patch < 0 or self.n_outliers < 0:
@@ -43,8 +43,6 @@ class SynthConfig:
             raise ValueError("SynthConfig: noise_sigma must be >= 0")
         if self.descriptor_dim < 2:
             raise ValueError("SynthConfig: descriptor_dim must be >= 2")
-        if self.area_ratio <= 0:
-            raise ValueError("SynthConfig: area_ratio must be > 0")
         if self.affine_override is not None:
             m = np.asarray(self.affine_override, dtype=np.float64)
             if m.shape != (2, 2) or abs(np.linalg.det(m)) < 1e-9:
@@ -115,15 +113,16 @@ def generate_scene(config: SynthConfig) -> SynthScene:
     """Generate a deterministic two-view scene with ground-truth labels.
 
     Patch keypoints are sampled inside a disk no larger than the seed
-    radius of the first image, so each patch fits a single neighborhood.
+    radius of the first image under the default AdalamParams, so each
+    patch fits a single neighborhood.
     Second-image positions are the patch affine image plus isotropic
     Gaussian noise whose norm is truncated at 3 * noise_sigma, keeping the
     reprojection invariant exact. With frame_consistent, second-image
     orientations and scales follow the patch affine's polar rotation angle
     and sqrt-determinant; otherwise they are random. Outliers are uniform
     over both full image extents with unrelated descriptors. Patch centers
-    in image 1 lie min_center_separation seed radii apart; a ValueError is
-    raised when the image has no room for that many patches.
+    in image 1 lie 2.2 seed radii apart; a ValueError is raised when the
+    image has no room for that many patches.
     """
     rng = np.random.default_rng(config.rng_seed)
     n_in = config.n_patches * config.keypoints_per_patch
@@ -133,7 +132,7 @@ def generate_scene(config: SynthConfig) -> SynthScene:
     w1, h1 = config.size1.width, config.size1.height
     w2, h2 = config.size2.width, config.size2.height
 
-    radius = compute_radius(config.size1, config.area_ratio)
+    radius = compute_radius(config.size1, AdalamParams.area_ratio)
     rho = 0.9 * radius
 
     affines = np.zeros((max(config.n_patches, 0), 2, 2))
@@ -148,7 +147,7 @@ def generate_scene(config: SynthConfig) -> SynthScene:
     patch_of = np.full(n, -1, dtype=np.int64)
 
     if config.n_patches > 0 and config.keypoints_per_patch > 0:
-        sep = config.min_center_separation * radius
+        sep = _CENTER_SEPARATION * radius
         xband = (min(rho + 1.0, w1 / 2), max(w1 - rho - 1.0, w1 / 2))
         yband = (min(rho + 1.0, h1 / 2), max(h1 - rho - 1.0, h1 / 2))
         centers1 = _sample_centers(rng, config.n_patches, xband, yband, sep)

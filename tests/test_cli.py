@@ -1,7 +1,10 @@
+import argparse
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +14,14 @@ from adalam import (
     AdalamParams,
     ImageSize,
     MatchSet,
+    SynthConfig,
     adalam_filter,
     match_prf,
     read_matches,
     write_matches,
 )
-from adalam.cli import _build_parser, _params_from_args, main
+from adalam import cli
+from adalam.cli import _build_parser, _config, main
 
 
 def run(argv, capsys=None):
@@ -48,7 +53,7 @@ class TestParserDefaults:
             "filter", "--keypoints1", "a", "--keypoints2", "b",
             "--matches", "c", "--out", "d",
         ])
-        params = _params_from_args(args)
+        params = _config(AdalamParams, args)
         assert params == AdalamParams()
 
     def test_every_field_has_a_flag(self):
@@ -72,7 +77,99 @@ class TestParserDefaults:
         }
         for field, (flags, expect) in overrides.items():
             args = _build_parser().parse_args(argv + flags)
-            assert getattr(_params_from_args(args), field) == expect
+            assert getattr(_config(AdalamParams, args), field) == expect
+
+    def test_every_synth_field_has_a_flag(self, tmp_path):
+        argv = ["synth", "--out-keypoints1", str(tmp_path / "kp1"),
+                "--out-keypoints2", str(tmp_path / "kp2"),
+                "--out-matches", str(tmp_path / "mt")]
+        overrides = {
+            "size1": (["--width1", "640", "--height1", "480"], ImageSize(640, 480)),
+            "size2": (["--width2", "320", "--height2", "240"], ImageSize(320, 240)),
+            "n_patches": (["--patches", "3"], 3),
+            "keypoints_per_patch": (["--keypoints-per-patch", "7"], 7),
+            "n_outliers": (["--outliers", "11"], 11),
+            "noise_sigma": (["--noise-sigma", "0.25"], 0.25),
+            "descriptor_dim": (["--descriptor-dim", "8"], 8),
+            "rng_seed": (["--rng-seed", "9"], 9),
+            "frame_consistent": (["--no-frame-consistent"], False),
+            "patch_rotation": (["--patch-rotation", "0.3"], 0.3),
+        }
+        for field, (flags, expect) in overrides.items():
+            with mock.patch.object(cli, "generate_scene", side_effect=ValueError) as gen:
+                assert main(argv + flags) == 2
+            assert getattr(gen.call_args.args[0], field) == expect
+        assert set(overrides) == {
+            f.name for f in dataclasses.fields(SynthConfig)
+        } - {"affine_override"}
+
+
+# Every subcommand's options at the time the flags were bound to config
+# fields by name: option string -> (default, help). A switch takes no
+# value, so its default is its absence.
+CLI_SURFACE = {
+    "synth": {
+        "--width1": (1000, None), "--height1": (1000, None),
+        "--width2": (1000, None), "--height2": (1000, None),
+        "--patches": (5, None), "--keypoints-per-patch": (20, None),
+        "--outliers": (233, None), "--noise-sigma": (0.0, None),
+        "--descriptor-dim": (32, None), "--rng-seed": (0, None),
+        "--no-frame-consistent": ("switch", None),
+        "--patch-rotation": (None, "fix every patch affine rotation angle (radians)"),
+        "--out-keypoints1": (None, None), "--out-keypoints2": (None, None),
+        "--out-matches": (None, None),
+    },
+    "match": {"--keypoints1": (None, None), "--keypoints2": (None, None),
+              "--out": (None, None)},
+    "filter": {
+        "--keypoints1": (None, None), "--keypoints2": (None, None),
+        "--matches": (None, None), "--out": (None, None),
+        "--method": ("adalam", None),
+        "--ratio-threshold": (0.8, "threshold for --method ratio"),
+        "--report": (None, "write per-seed diagnostics here (adalam only)"),
+        "--area-ratio": (100.0, "image area / suppression circle area"),
+        "--lambda": (4.0, "neighborhood radius expansion factor"),
+        "--iterations": (128, "verification iterations per seed"),
+        "--t-alpha": (math.pi / 6, "orientation agreement threshold in radians"),
+        "--t-sigma": (1.5, "log scale-ratio agreement threshold"),
+        "--t-c": (200.0, "adaptive confidence threshold"),
+        "--t-n": (6, "minimum inliers for an accepted seed"),
+        "--no-side-info": ("switch", "disable orientation/scale neighborhood filtering"),
+        "--no-refit": ("switch", "disable the least-squares refit on inliers"),
+        "--fixed-threshold": (None, "fixed residual threshold in pixels, replaces the "
+                                    "adaptive confidence test"),
+        "--eps-residual": (1e-06, "residual clamp fraction of the image-2 radius"),
+    },
+    "eval": {
+        "--selected": (None, "filtered match file"),
+        "--matches": (None, "match file with ground-truth column"),
+        "--errors": (None, "pose-error list, one value per line"),
+        "--auc": (None, "comma-separated thresholds"),
+        "--hist-auc": (None, "comma-separated thresholds"),
+        "--map": (None, "comma-separated thresholds"),
+        "--bin-width": (5.0, None),
+    },
+    "bench": {
+        "--scenes": (5, None), "--rng-seed": (0, None), "--patches": (5, None),
+        "--keypoints-per-patch": (20, None), "--outliers": (233, None),
+        "--noise-sigma": (0.5, None),
+        "--lam-threshold": (1.0, "fixed residual threshold for the LAM variant"),
+    },
+}
+
+
+def test_cli_surface_is_unchanged():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {
+            option: ("switch" if action.nargs == 0 else action.default, action.help)
+            for action in p._actions if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        for name, p in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 class TestPipeline:
@@ -245,6 +342,16 @@ class TestExitCodes:
         assert code == 2
         assert "bad.txt:2: expected 100000000000 rows" in capsys.readouterr().err
 
+    def test_wide_declared_dimension(self, tmp_path, capsys):
+        # Room for 1000 rows of 4 + 10**8 float64s would be 745 GiB.
+        kp1, kp2, _ = synth_files(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("ADALAM-KP 1 1000 100000000 100 100\n" + "1 2 1 0 0\n" * 1000)
+        code = main(["match", "--keypoints1", str(bad), "--keypoints2", str(kp2),
+                     "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "bad.txt:2: expected 100000004 fields, got 5" in capsys.readouterr().err
+
     def test_index_beyond_int64(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("ADALAM-MT 1 1 1\n99999999999999999999 0 0.5 0.5 1\n")
@@ -292,6 +399,24 @@ class TestExitCodes:
 
     def test_eval_without_inputs(self, capsys):
         assert main(["eval"]) == 2
+
+    @pytest.mark.parametrize("scenes", ["0", "-1"])
+    def test_bench_without_scenes(self, capsys, scenes):
+        code, out, err = run(["bench", "--scenes", scenes], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--scenes must be at least 1" in err
+
+    @pytest.mark.parametrize("method", ["ratio", "mutual"])
+    def test_report_needs_adalam(self, tmp_path, capsys, method):
+        kp1, kp2, mt = synth_files(tmp_path)
+        out, rep = tmp_path / "kept.txt", tmp_path / "seeds.txt"
+        code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                     "--matches", str(mt), "--out", str(out), "--method", method,
+                     "--report", str(rep)])
+        assert code == 2
+        assert "--report works only with --method adalam" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
 
     def test_eval_gt_column_required(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"

@@ -101,6 +101,14 @@ class TestKeypointRoundTrip:
         with pytest.raises(ParseError, match=r"kp\.txt:3: expected 100000000000 rows"):
             read_with_small_peak(read_keypoints, path)
 
+    def test_wide_declared_dimension_is_a_parse_error(self, tmp_path):
+        # Room for 1000 rows of 4 + 10**8 float64s would be 745 GiB: the
+        # first row's width is checked before any room is reserved.
+        path = tmp_path / "kp.txt"
+        path.write_text("ADALAM-KP 1 1000 100000000 100 100\n" + "1 2 1 0 0\n" * 1000)
+        with pytest.raises(ParseError, match=r"kp\.txt:2: expected 100000004 fields, got 5$"):
+            read_with_small_peak(read_keypoints, path)
+
     def test_extra_rows_rejected(self, tmp_path):
         path = tmp_path / "kp.txt"
         write_keypoints(path, SIZE, make_keypoints(3, dim=2))
@@ -421,8 +429,10 @@ INT_TOKENS = TOKENS + ["5.", "5e0", "+5", "-1", "2", "007", "9999999999999999999
                        "9223372036854775807", "\u0663", " 1"]
 
 
-def mutate(text, kind, at, tokens=TOKENS):
-    """One edit of a keypoint or match file's text at a position chosen by at."""
+def mutate(text, kind, at, field, pick, tokens=TOKENS):
+    """One edit of a keypoint or match file's text on a line chosen by at.
+    A "token" edit puts token pick in field, both drawn apart from at, so
+    that any token can meet any column, the gt flag too."""
     if kind == "crlf":
         return text.replace("\n", "\r\n")
     lines = text.split("\n")
@@ -435,7 +445,7 @@ def mutate(text, kind, at, tokens=TOKENS):
     elif kind == "cr":
         lines[i - 1] += "\r" + lines.pop(i)
     elif kind == "token":
-        row[at % len(row)] = tokens[at % len(tokens)]
+        row[field % len(row)] = tokens[pick % len(tokens)]
         lines[i] = " ".join(row)
     elif kind == "extra":
         lines[i] += [" 7", " # note", "\t", " 7\x0b8"][at % 4]
@@ -452,7 +462,8 @@ def mutate(text, kind, at, tokens=TOKENS):
 
 EDITS = st.lists(st.tuples(st.sampled_from(["crlf", "insert", "cr", "token", "extra",
                                             "missing", "separator", "count"]),
-                           st.integers(0, 10**6)), min_size=1, max_size=3)
+                           st.integers(0, 10**6), st.integers(0, 7),
+                           st.integers(0, len(INT_TOKENS) - 1)), min_size=1, max_size=3)
 
 
 def read_outcome(path):
@@ -478,8 +489,8 @@ class TestReaderProperties:
         path = scratch / "kp.txt"
         write_keypoints(path, SIZE, kps)
         text = path.read_text()
-        for kind, at in edits:
-            text = mutate(text, kind, at)
+        for edit in edits:
+            text = mutate(text, *edit)
         path.write_bytes(text.encode())
         got = read_outcome(path)
         with mock.patch.object(fileio, "_load_rows", return_value=None):
@@ -509,9 +520,29 @@ class TestMatchReaderProperties:
         path = scratch / "mt.txt"
         write_matches(path, *matches_gt)
         text = path.read_text()
-        for kind, at in edits:
-            text = mutate(text, kind, at, INT_TOKENS)
+        for edit in edits:
+            text = mutate(text, *edit, INT_TOKENS)
         path.write_bytes(text.encode())
         got = read_match_outcome(path)
         with mock.patch.object(fileio, "_load_rows", return_value=None):
             assert read_match_outcome(path) == got
+
+
+@pytest.mark.parametrize("fmt", ["keypoints", "matches"])
+def test_fast_path_equals_row_parser_for_every_token_in_every_field(tmp_path, fmt):
+    # The properties above draw few token edits; this puts each token in
+    # each field of the first row, the gt flag included.
+    path = tmp_path / "f.txt"
+    if fmt == "keypoints":
+        write_keypoints(path, SIZE, make_keypoints(2, dim=2))
+        tokens, outcome = TOKENS, read_outcome
+    else:
+        write_matches(path, make_matches(2), gt=np.array([True, False]))
+        tokens, outcome = INT_TOKENS, read_match_outcome
+    text = path.read_text()
+    for field in range(len(text.split("\n")[1].split(" "))):
+        for pick in range(len(tokens)):
+            path.write_bytes(mutate(text, "token", 0, field, pick, tokens).encode())
+            got = outcome(path)
+            with mock.patch.object(fileio, "_load_rows", return_value=None):
+                assert outcome(path) == got, (field, tokens[pick])
