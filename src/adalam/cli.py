@@ -154,9 +154,15 @@ def _cmd_match(args) -> int:
 
 
 def _rows_of(matches: MatchSet, kept: MatchSet) -> np.ndarray:
-    """The row indices in matches of kept, an order-preserving subset of it."""
+    """The row indices in matches of the (idx1, idx2) pairs of kept that
+    matches holds, in kept's order."""
+    if len(matches) == 0:
+        return np.zeros(0, dtype=np.int64)
     order = np.argsort(matches.idx1)   # idx1 is unique in a MatchSet
-    return order[np.searchsorted(matches.idx1, kept.idx1, sorter=order)]
+    at = np.searchsorted(matches.idx1, kept.idx1, sorter=order)
+    rows = order[np.minimum(at, len(matches) - 1)]
+    hit = (matches.idx1[rows] == kept.idx1) & (matches.idx2[rows] == kept.idx2)
+    return rows[hit]
 
 
 def _cmd_filter(args) -> int:
@@ -201,20 +207,17 @@ def _cmd_eval(args) -> int:
     elif args.selected and args.matches:
         matches, gt = read_matches(args.matches)
         if gt is None:
-            raise ValueError("eval: --matches file must carry a gt column")
+            raise ValueError("--matches file must carry a gt column")
         selected, _ = read_matches(args.selected)
-        pairs = {(int(a), int(b)) for a, b in zip(selected.idx1, selected.idx2)}
-        known = list(zip(matches.idx1.tolist(), matches.idx2.tolist()))
-        sel = np.array([k for k, pair in enumerate(known) if pair in pairs],
-                       dtype=np.int64)
-        missing = len(pairs.difference(known))
+        sel = _rows_of(matches, selected)
+        missing = len(selected) - len(sel)
         if missing:
             print(f"adalam eval: {missing} selected pairs are not in {args.matches} "
                   "and are left out of the counts", file=sys.stderr)
         report = match_prf(sel, gt)
         out.append(report.lines().rstrip("\n"))
     else:
-        raise ValueError("eval: need either --errors or --selected with --matches")
+        raise ValueError("need either --errors or --selected with --matches")
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

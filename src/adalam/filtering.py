@@ -146,8 +146,9 @@ def _members(cand, si, arrays, ratio, lam_r1, lam_r2, params):
 
     arrays is the tuple from _transform_arrays. A candidate is a member when
     it passes the spatial gates of both images and, with side information,
-    the orientation and scale gates; the seed always is. Members come out
-    ordered by ratio ascending, ties by match index.
+    the orientation and scale gates; the seed always is. Returns (members,
+    centered1, centered2): members ordered by ratio ascending, ties by match
+    index, and their positions relative to the seed's in each image.
     """
     x1, x2, alpha_t, logsig_t = arrays
     d1 = x1[cand] - x1[si]
@@ -159,7 +160,8 @@ def _members(cand, si, arrays, ratio, lam_r1, lam_r2, params):
         ds = np.abs(logsig_t[si] - logsig_t[cand])
         ok &= (da <= params.t_alpha) & (ds <= params.t_sigma)
     members = cand[ok | (cand == si)]
-    return members[np.lexsort((members, ratio[members]))]
+    members = members[np.lexsort((members, ratio[members]))]
+    return members, x1[members] - x1[si], x2[members] - x2[si]
 
 
 def assemble_neighborhood(
@@ -180,18 +182,11 @@ def assemble_neighborhood(
     si = int(seed.match_index)
     if not (0 <= si < len(matches)):
         raise ValueError("assemble_neighborhood: seed match index out of range")
-    arrays = _transform_arrays(matches, k1, k2)
-    members = _members(
-        np.arange(len(matches), dtype=np.int64), si, arrays, matches.ratio,
-        params.lam * seed.r1, params.lam * seed.r2, params,
+    members, centered1, centered2 = _members(
+        np.arange(len(matches), dtype=np.int64), si, _transform_arrays(matches, k1, k2),
+        matches.ratio, params.lam * seed.r1, params.lam * seed.r2, params,
     )
-    x1, x2 = arrays[:2]
-    return Neighborhood(
-        seed=seed,
-        members=members,
-        centered1=x1[members] - x1[si],
-        centered2=x2[members] - x2[si],
-    )
+    return Neighborhood(seed, members, centered1, centered2)
 
 
 def fit_affine_minimal(u_p, v_p, u_q, v_q) -> Optional[AffineModel]:
@@ -296,7 +291,8 @@ def _prosac_pairs(u, budget):
     Members are assumed sorted by confidence descending (ratio ascending).
     Pairs are enumerated as (i, n) for n = 1, 2, ... and i = 0 .. n-1, so
     the most confident samples are explored first. Degenerate pairs are
-    skipped without consuming budget. Returns (p_idx, q_idx) arrays.
+    skipped without consuming budget. Returns (p_idx, q_idx, det) arrays,
+    det being each pair's u_p x u_q.
     """
     m = u.shape[0]
     norms2 = np.einsum("ij,ij->i", u, u)
@@ -312,7 +308,7 @@ def _prosac_pairs(u, budget):
         lim = _DEGEN_REL * np.maximum(norms2[i], norms2[j])
         ok = np.flatnonzero((np.abs(det) >= lim) & (det != 0.0))[:budget]
         if ok.shape[0] == budget or n == m:
-            return i[ok], j[ok]
+            return i[ok], j[ok], det[ok]
         n = min(2 * n, m)
 
 
@@ -346,8 +342,7 @@ def _refit_models(a, u, v, mask, counts):
     """One least-squares refit per iteration on its inlier mask (t, m).
 
     Iterations whose inlier scatter is rank deficient (or with fewer than
-    two inliers) keep their minimal-sample model. Returns the new model
-    batch and a mask of the iterations actually refit.
+    two inliers) keep their minimal-sample model. Returns the new batch.
     """
     m = u.shape[0]
     prods = np.empty((m, 7))
@@ -362,36 +357,28 @@ def _refit_models(a, u, v, mask, counts):
     sxx, sxy, syy = s[:, 0], s[:, 1], s[:, 2]
     det = sxx * syy - sxy * sxy
     ok = (counts >= 2) & (det > _SCATTER_REL * (sxx + syy) ** 2)
-    if not ok.any():
-        return a, ok
-    d = det[ok]
-    new = np.empty((int(ok.sum()), 2, 2))
-    new[:, 0, 0] = (s[ok, 3] * syy[ok] - s[ok, 4] * sxy[ok]) / d
-    new[:, 0, 1] = (s[ok, 4] * sxx[ok] - s[ok, 3] * sxy[ok]) / d
-    new[:, 1, 0] = (s[ok, 5] * syy[ok] - s[ok, 6] * sxy[ok]) / d
-    new[:, 1, 1] = (s[ok, 6] * sxx[ok] - s[ok, 5] * sxy[ok]) / d
+    s, sxx, sxy, syy, d = s[ok], sxx[ok], sxy[ok], syy[ok], det[ok]
     a = a.copy()
-    a[ok] = new
-    return a, ok
+    a[ok, 0, 0] = (s[:, 3] * syy - s[:, 4] * sxy) / d
+    a[ok, 0, 1] = (s[:, 4] * sxx - s[:, 3] * sxy) / d
+    a[ok, 1, 0] = (s[:, 5] * syy - s[:, 6] * sxy) / d
+    a[ok, 1, 1] = (s[:, 6] * sxx - s[:, 5] * sxy) / d
+    return a
 
 
 def _verify(u, v, r2, params: AdalamParams):
     """Run the deterministic verification on seed-centered members u -> v.
 
     Returns (best_iteration, best_count, model, inliers, worst_conf): the
-    winning iteration (-1 when no minimal sample existed) and its inlier
-    count; for an accepted seed also its 2x2 model, its inlier member
-    indices in ascending order and the confidence of its worst inlier.
-    These three are None when the seed is rejected.
+    winning iteration (-1 when no sample pair is non-degenerate, as with one
+    member) and its inlier count; for an accepted seed also its 2x2 model,
+    its inlier member indices in ascending order and the confidence of its
+    worst inlier. These three are None when the seed is rejected.
     """
-    m = u.shape[0]
-    if m < 2:
-        return -1, 0, None, None, None
-    p_idx, q_idx = _prosac_pairs(u, params.iterations)
+    p_idx, q_idx, det = _prosac_pairs(u, params.iterations)
     t = p_idx.shape[0]
     if t == 0:
         return -1, 0, None, None, None
-    det = u[p_idx, 0] * u[q_idx, 1] - u[p_idx, 1] * u[q_idx, 0]
     a = np.empty((t, 2, 2))
     # A = [v_p v_q] [u_p u_q]^-1, expanded componentwise.
     a[:, 0, 0] = (v[p_idx, 0] * u[q_idx, 1] - v[q_idx, 0] * u[p_idx, 1]) / det
@@ -402,17 +389,16 @@ def _verify(u, v, r2, params: AdalamParams):
     resid, rs, conf, counts = _score_models(a, u, v, r2, params)
 
     if params.use_refit:
-        a, refit = _refit_models(a, u, v, _prefix_mask(resid, rs, counts), counts)
-        if refit.any():
-            resid[refit], _, conf[refit], counts[refit] = _score_models(
-                a[refit], u, v, r2, params
-            )
+        # Every row is scored again: one that kept its model gets the same bits.
+        a = _refit_models(a, u, v, _prefix_mask(resid, rs, counts), counts)
+        resid, rs, conf, counts = _score_models(a, u, v, r2, params)
 
     best = int(np.argmax(counts))
     best_count = int(counts[best])
     if best_count < params.t_n:
         return best, best_count, None, None, None
-    inliers = np.sort(np.argsort(resid[best], kind="stable")[:best_count])
+    row = slice(best, best + 1)
+    inliers = np.flatnonzero(_prefix_mask(resid[row], rs[row], counts[row]))
     return best, best_count, a[best], inliers, float(conf[best, best_count - 1])
 
 
@@ -461,7 +447,6 @@ def adalam_filter(
     r1 = compute_radius(size1, params.area_ratio)
     r2 = compute_radius(size2, params.area_ratio)
     arrays = _transform_arrays(matches, k1, k2)
-    x1, x2 = arrays[:2]
     lam_r1 = params.lam * r1
     lam_r2 = params.lam * r2
     seeds = select_seeds(matches, k1, r1)
@@ -469,7 +454,7 @@ def adalam_filter(
     # Neighbourhood candidates: with cells just over lam * r1 wide, the 3x3
     # block of cells around a seed's cell covers its lam * r1 disk, and each
     # row of the block is one range of keys. _members applies the exact gates.
-    key, width = _grid_keys(x1, lam_r1 * (1.0 + _GRID_SLACK), 1)
+    key, width = _grid_keys(arrays[0], lam_r1 * (1.0 + _GRID_SLACK), 1)
     order = np.argsort(key)
     skey = key[order]
     rows = key[seeds, None] + width * np.arange(-1, 2)
@@ -482,10 +467,8 @@ def adalam_filter(
         cand = np.concatenate(
             (order[a[0]:b[0]], order[a[1]:b[1]], order[a[2]:b[2]])
         )
-        members = _members(cand, si, arrays, matches.ratio, lam_r1, lam_r2, params)
-        best, count, _, inliers, _ = _verify(
-            x1[members] - x1[si], x2[members] - x2[si], r2, params
-        )
+        members, u, v = _members(cand, si, arrays, matches.ratio, lam_r1, lam_r2, params)
+        best, count, _, inliers, _ = _verify(u, v, r2, params)
         reports.append(SeedReport(si, best, count, inliers is not None))
         if inliers is not None:
             kept.append(members[inliers])

@@ -273,6 +273,16 @@ class TestPipeline:
         _, _, err = run(["eval", "--selected", str(mt), "--matches", str(mt)], capsys)
         assert err == ""
 
+        empty = tmp_path / "empty.txt"
+        empty.write_text("ADALAM-MT 1 0 1\n")  # a gt column, no rows
+        code, out, err = run(["eval", "--selected", str(sel), "--matches", str(empty)],
+                             capsys)
+        assert code == 0
+        report = dict(ln.split("=") for ln in out.strip().splitlines())
+        assert all(float(value) == 0 for value in report.values())
+        assert err == (f"adalam eval: 3 selected pairs are not in {empty} "
+                       "and are left out of the counts\n")
+
     def test_eval_errors_mode(self, tmp_path, capsys):
         err = tmp_path / "err.txt"
         err.write_text("1\n1\n1\n1\n")
@@ -399,6 +409,8 @@ class TestExitCodes:
 
     def test_eval_without_inputs(self, capsys):
         assert main(["eval"]) == 2
+        assert capsys.readouterr().err == (
+            "adalam eval: need either --errors or --selected with --matches\n")
 
     @pytest.mark.parametrize("scenes", ["0", "-1"])
     def test_bench_without_scenes(self, capsys, scenes):
@@ -423,7 +435,8 @@ class TestExitCodes:
         mt.write_text("ADALAM-MT 1 1 0\n0 0 0.5 0.5\n")
         code = main(["eval", "--selected", str(mt), "--matches", str(mt)])
         assert code == 2
-        assert "gt" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "adalam eval: --matches file must carry a gt column\n")
 
 
 def run_fresh(code):

@@ -488,16 +488,37 @@ class TestVerifySeed:
                 failures += 1
         assert failures <= 2
 
+    def _mixed_refit_neighborhoods(self):
+        """Seed, then u_p = (1, 0) and u_q = (1, 1e-8) mapped off the common
+        affine, then 8 members. The first sample (u_p, u_q) is non-degenerate,
+        but its prefix {seed, p, q} has a rank-deficient scatter, so it keeps
+        its minimal model while the later samples are refit. With the 8 on
+        the affine a later sample wins; with them scattered, every sample
+        holds 3 inliers and the kept first one wins the tie."""
+        rng = np.random.default_rng(26)
+        a = np.array([[1.2, 0.3], [-0.2, 0.9]])
+        u = np.vstack([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-8],
+                       rng.uniform(-40, 40, size=(8, 2))])
+        v = u @ a.T
+        v[1] += [7.0, -3.0]
+        v[2] += [-5.0, 6.0]
+        assert fit_affine_lsq(u[:3], v[:3]) is None
+        scattered = v.copy()
+        scattered[3:] = rng.uniform(-40, 40, size=(8, 2))
+        return [build_neighborhood(u, w, ratios=np.linspace(0.0, 0.5, 11))
+                for w in (v, scattered)]
+
     def test_agrees_with_reference_implementation(self):
         rng = np.random.default_rng(23)
-        for trial in range(25):
-            n_in = rng.integers(3, 12)
-            n_out = rng.integers(0, 25)
-            nb, _ = self._affine_neighborhood(rng, int(n_in), int(n_out))
+        nbs = [self._affine_neighborhood(rng, int(rng.integers(3, 12)),
+                                         int(rng.integers(0, 25)))[0]
+               for _ in range(25)]
+        for nb in [*nbs, *self._mixed_refit_neighborhoods()]:
             for params in (
                 AdalamParams(t_n=2, iterations=32),
                 AdalamParams(t_n=2, iterations=32, use_refit=False),
                 AdalamParams(t_n=2, iterations=32, fixed_threshold=5.0),
+                AdalamParams(t_n=2, iterations=32, fixed_threshold=1.0),
             ):
                 expect = reference_verify(nb, params)
                 got = verify_seed(nb, params)
@@ -617,8 +638,9 @@ class TestVerifySeedProperties:
         u, v = nb.centered1, nb.centered2
         expect = [(i, n) for n in range(1, len(nb)) for i in range(n)
                   if fit_affine_minimal(u[i], v[i], u[n], v[n]) is not None]
-        p_idx, q_idx = _prosac_pairs(u, budget)
+        p_idx, q_idx, det = _prosac_pairs(u, budget)
         assert list(zip(p_idx.tolist(), q_idx.tolist())) == expect[:budget]
+        assert np.array_equal(det, u[p_idx, 0] * u[q_idx, 1] - u[p_idx, 1] * u[q_idx, 0])
 
     @PROPERTY
     @given(degenerate_neighborhoods(), st.sampled_from(PARAM_SETS))
