@@ -191,20 +191,18 @@ class AdalamParams:
     eps_residual: float = 1e-6
 
     def __post_init__(self):
-        if self.area_ratio <= 0:
-            raise ValueError("AdalamParams: area_ratio must be > 0")
-        if self.lam < 1:
+        # Each check is written so that NaN fails it.
+        for name in ("area_ratio", "t_alpha", "t_sigma", "t_c", "eps_residual"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"AdalamParams: {name} must be > 0")
+        if not self.lam >= 1:
             raise ValueError("AdalamParams: lam must be >= 1")
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ValueError("AdalamParams: iterations must be >= 1")
-        if self.t_alpha <= 0 or self.t_sigma <= 0 or self.t_c <= 0:
-            raise ValueError("AdalamParams: thresholds must be > 0")
-        if self.t_n < 2:
+        if not self.t_n >= 2:
             raise ValueError("AdalamParams: t_n must be >= 2")
-        if self.fixed_threshold is not None and self.fixed_threshold <= 0:
+        if self.fixed_threshold is not None and not self.fixed_threshold > 0:
             raise ValueError("AdalamParams: fixed_threshold must be > 0")
-        if self.eps_residual <= 0:
-            raise ValueError("AdalamParams: eps_residual must be > 0")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Both formats are one header line followed by one whitespace-separated
 record per line, floats written with 9 significant digits. Keypoint rows
 are `x y sigma alpha d0 ... d{dim-1}`; match rows are
-`idx1 idx2 dist ratio [gt]`. Angles are wrapped into (-pi, pi] on write.
+`idx1 idx2 dist ratio [gt]`. Angles are written as given: a KeypointSet
+already holds them in (-pi, pi].
 Files are written atomically: no partial output remains on failure.
 Keypoint files are formatted and written 1024 rows at a time, so the
 writer's working memory does not grow with the row count.
@@ -22,7 +23,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import ImageSize, KeypointSet, MatchSet, wrap_angle
+from .core import ImageSize, KeypointSet, MatchSet
 
 KEYPOINT_MAGIC = "ADALAM-KP"
 MATCH_MAGIC = "ADALAM-MT"
@@ -65,11 +66,10 @@ def _keypoint_text(size: ImageSize, kps: KeypointSet):
     """The lines of a keypoint file, in pieces of _WRITE_ROWS rows."""
     yield (f"{KEYPOINT_MAGIC} {FORMAT_VERSION} {len(kps)} {kps.dim} "
            f"{size.width} {size.height}\n")
-    alpha = wrap_angle(kps.alpha) if len(kps) else kps.alpha
     fmt = " ".join(["%.9g"] * (4 + kps.dim)) + "\n"
     for lo in range(0, len(kps), _WRITE_ROWS):
         hi = lo + _WRITE_ROWS
-        data = np.column_stack((kps.xy[lo:hi], kps.sigma[lo:hi], alpha[lo:hi],
+        data = np.column_stack((kps.xy[lo:hi], kps.sigma[lo:hi], kps.alpha[lo:hi],
                                 kps.desc[lo:hi]))
         yield "".join([fmt % tuple(r.tolist()) for r in data])
 

@@ -15,6 +15,7 @@ from adalam import (
     match_prf,
     select_seeds,
     verify_seed,
+    wrap_angle,
 )
 
 SIZE = ImageSize(1000, 1000)
@@ -31,8 +32,18 @@ def scene(seed=0, **kw):
 
 class TestAdalamFilter:
     def test_global_affine_scene_all_inliers_kept(self):
-        sc = scene(seed=3, affine_override=np.eye(2), noise_sigma=0.0)
-        result = adalam_filter(sc.k1, sc.k2, SIZE, SIZE, sc.matches)
+        # Every inlier of image 2 follows one similarity of image 1 about the
+        # image centre: its position, orientation and scale.
+        sc = scene(seed=3, noise_sigma=0.0)
+        theta, s = 0.3, 0.9
+        g = s * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        i1, i2 = sc.matches.idx1[sc.gt_inlier], sc.matches.idx2[sc.gt_inlier]
+        xy, sigma, alpha = sc.k2.xy.copy(), sc.k2.sigma.copy(), sc.k2.alpha.copy()
+        xy[i2] = 500.0 + (sc.k1.xy[i1] - 500.0) @ g.T
+        sigma[i2] = s * sc.k1.sigma[i1]
+        alpha[i2] = wrap_angle(sc.k1.alpha[i1] + theta)
+        k2 = KeypointSet(xy=xy, sigma=sigma, alpha=alpha, desc=sc.k2.desc)
+        result = adalam_filter(sc.k1, k2, SIZE, SIZE, sc.matches)
         gt = np.nonzero(sc.gt_inlier)[0]
         assert set(gt.tolist()) <= set(result.selected.tolist())
         report = match_prf(result.selected, sc.gt_inlier)

@@ -99,9 +99,7 @@ class TestParserDefaults:
             with mock.patch.object(cli, "generate_scene", side_effect=ValueError) as gen:
                 assert main(argv + flags) == 2
             assert getattr(gen.call_args.args[0], field) == expect
-        assert set(overrides) == {
-            f.name for f in dataclasses.fields(SynthConfig)
-        } - {"affine_override"}
+        assert set(overrides) == {f.name for f in dataclasses.fields(SynthConfig)}
 
 
 # Every subcommand's options at the time the flags were bound to config
@@ -361,6 +359,30 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.txt")])
         assert code == 2
         assert "bad.txt:2: expected 100000004 fields, got 5" in capsys.readouterr().err
+
+    def test_nan_filter_setting(self, tmp_path, capsys):
+        kp1, kp2, mt = synth_files(tmp_path)
+        out = tmp_path / "o.txt"
+        for flag, field in [("--area-ratio", "area_ratio"), ("--lambda", "lam"),
+                            ("--t-alpha", "t_alpha"), ("--t-sigma", "t_sigma"),
+                            ("--t-c", "t_c"), ("--fixed-threshold", "fixed_threshold"),
+                            ("--eps-residual", "eps_residual")]:
+            code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                         "--matches", str(mt), "--out", str(out), flag, "nan"])
+            assert code == 2
+            assert field in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_non_finite_synth_setting(self, tmp_path, capsys):
+        for flag, field in [("--noise-sigma", "noise_sigma"),
+                            ("--patch-rotation", "patch_rotation")]:
+            for value in ("nan", "inf"):
+                code = main(["synth", "--out-keypoints1", str(tmp_path / "kp1"),
+                             "--out-keypoints2", str(tmp_path / "kp2"),
+                             "--out-matches", str(tmp_path / "mt"), flag, value])
+                assert code == 2
+                assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_index_beyond_int64(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -179,6 +179,13 @@ class TestAdalamParams:
             {"t_n": 1},
             {"fixed_threshold": 0.0},
             {"eps_residual": 0.0},
+            {"area_ratio": math.nan},
+            {"lam": math.nan},
+            {"t_alpha": math.nan},
+            {"t_sigma": math.nan},
+            {"t_c": math.nan},
+            {"fixed_threshold": math.nan},
+            {"eps_residual": math.nan},
         ],
     )
     def test_invalid(self, kw):

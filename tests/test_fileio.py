@@ -20,7 +20,6 @@ from adalam import (
     read_errors,
     read_keypoints,
     read_matches,
-    wrap_angle,
     write_keypoints,
     write_matches,
 )
@@ -153,6 +152,15 @@ class TestKeypointRoundTrip:
         write_keypoints(path, SIZE, kps)
         _, got = read_keypoints(path)
         assert -math.pi < got.alpha[0] <= math.pi
+
+    def test_angles_written_as_given(self, tmp_path):
+        path = tmp_path / "kp.txt"
+        alpha = np.array([-1e-10, -1e-300, -3.0, 3.0, math.pi])
+        kps = KeypointSet(xy=np.zeros((5, 2)), sigma=np.ones(5), alpha=alpha,
+                          desc=np.zeros((5, 2)))
+        write_keypoints(path, SIZE, kps)
+        _, got = read_keypoints(path)
+        assert got.alpha.tolist() == [float("%.9g" % a) for a in alpha]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -372,10 +380,9 @@ def match_sets(draw):
 
 
 def per_field_keypoint_text(kps):
-    alpha = wrap_angle(kps.alpha) if len(kps) else kps.alpha
     rows = [f"ADALAM-KP 1 {len(kps)} {kps.dim} {SIZE.width} {SIZE.height}"]
     for k in range(len(kps)):
-        values = [kps.xy[k, 0], kps.xy[k, 1], kps.sigma[k], alpha[k], *kps.desc[k]]
+        values = [kps.xy[k, 0], kps.xy[k, 1], kps.sigma[k], kps.alpha[k], *kps.desc[k]]
         rows.append(" ".join(f"{v:.9g}" for v in values))
     return ("\n".join(rows) + "\n").encode()
 

@@ -508,12 +508,31 @@ class TestVerifySeed:
         return [build_neighborhood(u, w, ratios=np.linspace(0.0, 0.5, 11))
                 for w in (v, scattered)]
 
+    def _collinear_prefix_neighborhood(self):
+        """Seed, u_p = (10, 0), u_q = (10, 1e-7) and 4 more members on the
+        x axis, all on one affine but for a shift of 0.3 px at p and q. Every
+        prefix is nearly collinear: its scatter det is at most 1e-12 trace^2,
+        and above 0 when it holds q, so no sample is refit. With
+        fixed_threshold=1.0 the (p, q) model leaves out the member at x = 40
+        and the (q, 20) model, the next sample, wins; a refit of the first
+        would take it in and win the tie."""
+        a = np.array([[1.2, 0.3], [-0.2, 0.9]])
+        u = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1e-7], [20.0, 0.0],
+                      [25.0, 0.0], [30.0, 0.0], [40.0, 0.0]])
+        v = u @ a.T
+        v[1:3] += [0.3, 0.0]
+        sxx, sxy, syy = u[:, 0] @ u[:, 0], u[:, 0] @ u[:, 1], u[:, 1] @ u[:, 1]
+        assert 0 < sxx * syy - sxy * sxy <= 1e-12 * (sxx + syy) ** 2
+        assert fit_affine_lsq(u, v) is None
+        return build_neighborhood(u, v, ratios=np.linspace(0.0, 0.5, 7))
+
     def test_agrees_with_reference_implementation(self):
         rng = np.random.default_rng(23)
         nbs = [self._affine_neighborhood(rng, int(rng.integers(3, 12)),
                                          int(rng.integers(0, 25)))[0]
                for _ in range(25)]
-        for nb in [*nbs, *self._mixed_refit_neighborhoods()]:
+        for nb in [*nbs, *self._mixed_refit_neighborhoods(),
+                   self._collinear_prefix_neighborhood()]:
             for params in (
                 AdalamParams(t_n=2, iterations=32),
                 AdalamParams(t_n=2, iterations=32, use_refit=False),
