@@ -214,7 +214,7 @@ class Seed:
     r2: float
 
     def __post_init__(self):
-        if self.r1 <= 0 or self.r2 <= 0:
+        if not self.r1 > 0 or not self.r2 > 0:
             raise ValueError("Seed: radii must be > 0")
 
 

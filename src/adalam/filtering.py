@@ -53,7 +53,7 @@ class IterationOutcome:
 
 def compute_radius(size: ImageSize, area_ratio: float) -> float:
     """Suppression radius R with R^2 * pi * area_ratio = image area."""
-    if area_ratio <= 0:
+    if not area_ratio > 0:
         raise ValueError("compute_radius: area_ratio must be > 0")
     return math.sqrt(size.area / (math.pi * area_ratio))
 
@@ -95,7 +95,7 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     cells, which holds every match within r1 of it, survives; the others
     are tested exactly against the better matches of that block.
     """
-    if r1 <= 0:
+    if not r1 > 0:
         raise ValueError("select_seeds: r1 must be > 0")
     m = len(matches)
     if m == 0:
@@ -260,7 +260,7 @@ def confidences(resid, r2: float, eps_residual: float = 1e-6):
     uniformly scattered outliers within radius r2 at the same residual.
     Residuals are clamped below at eps_residual * r2 before squaring.
     """
-    if r2 <= 0:
+    if not r2 > 0:
         raise ValueError("confidences: r2 must be > 0")
     resid = np.asarray(resid, dtype=np.float64)
     order = np.argsort(resid, kind="stable")

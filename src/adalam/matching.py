@@ -9,7 +9,7 @@ Search is exact brute force over Euclidean distances. One kernel,
   keeps the float32 scores below from overflowing or underflowing, so no
   descriptor range is refused.
 - Candidates are screened on float32 scores `a·b - ‖b‖²/2`, whose
-  maximum is the nearest neighbor; each row keeps its top 3.
+  maximum is the nearest neighbor; each row keeps its top 2.
 - The first set is processed in blocks of 256 rows: each block is
   prescaled and cast on its own, and its scores fill one float32 buffer
   of 256 × (second-set size) that is allocated once. Working memory thus
@@ -17,11 +17,10 @@ Search is exact brute force over Euclidean distances. One kernel,
   in float64 and float32, because the refinement gathers from it.
 - The candidates' distances are recomputed in float64 from explicit
   differences, `sum((b - a)**2)`, and ordered by (distance, index).
-- A rounding bound e_i guards the screening. A row whose float32 gap
-  between its 2nd and 3rd candidates is at most 2·e_i is recomputed the
-  same way against every row of the second set whose float32 score lies
-  within 2·e_i of its 2nd candidate's. No other row can be one of its two
-  nearest.
+- A rounding bound e_i guards the screening by one rule: a row of the
+  second set can be one of the two nearest only if its float32 score is
+  at least the 2nd candidate's less 2·e_i. Where another row passes this
+  floor, the row is recomputed the same way against all that pass it.
 
 The result is exact: the nearest index, its distance and the ratio are
 those of explicit float64 differences with ties broken by the smaller
@@ -37,7 +36,6 @@ import numpy as np
 from .core import KeypointSet, MatchSet
 
 _CHUNK = 256
-_CANDIDATES = 3
 _U32 = 2.0 ** -24        # unit roundoff of float32
 _U64 = 2.0 ** -53        # unit roundoff of float64
 _TINY32 = 2.0 ** -149    # smallest positive float32
@@ -78,17 +76,16 @@ def _screen_bound(norm_a, max_b, d):
     The returned e_i = expm1((d+4)·u)·‖a_i‖·M + expm1(2u + d·u64)·M²
     + expm1((d+3)·u64)·(‖a_i‖ + M)²/2 + tau bounds |s - S| plus half of
     |D64 - D|. Its coefficients exceed the sums above by a margin that
-    covers the float64 rounding of e_i itself and of the gap it is
-    compared with.
+    covers the float64 rounding of e_i itself and of the floor
+    s_2 - 2·e_i it sets.
 
     Take the row's two best float32 candidates c and any row j with
     s_j < s_c - 2·e_i for both. Then S_c - S_j > 2·(e_i - max|s - S|),
     which is at least max|D64 - D|, and D_j - D_c = 2·(S_c - S_j) exceeds
     the two rows' |D64 - D| together. So D64_j > D64_c: j is not one of the
-    two nearest rows by explicit float64 differences, ties included.
-    When the K-th candidate's score is below the 2nd's by more than 2·e_i,
-    every row that was not a candidate is such a j. The bound assumes
-    IEEE gradual underflow, NumPy's default.
+    two nearest rows by explicit float64 differences, ties included. As
+    s_2 <= s_1, every row with s_j below the floor s_2 - 2·e_i is such a j.
+    The bound assumes IEEE gradual underflow, NumPy's default.
     """
     c32 = math.expm1((d + 4) * _U32)
     tau = 2.0 * (d + 1) * (1.0 + c32) * _TINY32
@@ -116,11 +113,10 @@ def _nearest(a: np.ndarray, b: np.ndarray):
     sq_b = np.einsum("ij,ij->i", b, b)
     half32 = (0.5 * sq_b).astype(np.float32)
     max_b = math.sqrt(np.max(sq_b))
-    k = min(_CANDIDATES, n2)
-    ncol = min(2, n2)
+    k = min(2, n2)
 
     idx = np.empty(n1, dtype=np.int64)
-    sq = np.empty((n1, ncol), dtype=np.float64)
+    sq = np.empty((n1, k), dtype=np.float64)
     recheck = np.zeros(n1, dtype=bool)
     buf = np.empty((min(_CHUNK, n1), n2), dtype=np.float32)
     for lo in range(0, n1, _CHUNK):
@@ -131,20 +127,19 @@ def _nearest(a: np.ndarray, b: np.ndarray):
         score -= half32
         rows = np.arange(hi - lo)
         cand = np.empty((hi - lo, k), dtype=np.int64)
-        top = np.empty((hi - lo, k), dtype=np.float64)
-        for c in range(k):
+        for c in range(k):  # floor ends as the 2nd candidate's score less 2·e_i
             cand[:, c] = score.argmax(axis=1)
-            top[:, c] = score[rows, cand[:, c]]
+            floor = score[rows, cand[:, c]] - 2.0 * bound
             score[rows, cand[:, c]] = -np.inf
         if n2 > k:
-            recheck[lo:hi] = top[:, 1] - top[:, -1] <= 2.0 * bound
+            recheck[lo:hi] = score.max(axis=1) >= floor
         diff = b[cand] - block[:, None]
         dd = np.sum(diff * diff, axis=-1)
         for r in np.flatnonzero(recheck[lo:hi]):
             # The candidates' scores are -inf by now, so the two index sets
             # are disjoint and their sorted concatenation is their union.
             near = np.sort(np.concatenate((cand[r], np.flatnonzero(
-                score[r] >= top[r, 1] - 2.0 * bound[r]))))
+                score[r] >= floor[r]))))
             diff = b[near] - block[r]
             full = np.sum(diff * diff, axis=1)
             pick = np.argsort(full, kind="stable")[:k]
@@ -152,7 +147,7 @@ def _nearest(a: np.ndarray, b: np.ndarray):
             dd[r] = full[pick]
         order = np.lexsort((cand, dd), axis=1)
         idx[lo:hi] = cand[rows, order[:, 0]]
-        sq[lo:hi] = np.take_along_axis(dd, order[:, :ncol], axis=1)
+        sq[lo:hi] = np.take_along_axis(dd, order, axis=1)
 
     best = np.sqrt(sq[:, 0])
     second = np.sqrt(sq[:, -1])

@@ -6,6 +6,7 @@ comparison: errors exactly at the threshold count as successes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ def match_prf(selected, gt_inlier) -> EvalReport:
     return EvalReport(tp, fp, fn, precision, recall, f1)
 
 
+def _check_positive_finite(where: str, name: str, value: float):
+    if not 0.0 < value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{where}: {name} must be finite and > 0")
+
+
 def _check_errors(errors) -> np.ndarray:
     e = np.asarray(errors, dtype=np.float64)
     if e.ndim != 1 or e.size == 0:
@@ -67,8 +73,7 @@ def exact_auc(errors, threshold: float) -> float:
     recall(x) is the fraction of errors <= x; the integral has closed form
     as the average clipped margin (t - e)/t over all errors.
     """
-    if threshold <= 0:
-        raise ValueError("exact_auc: threshold must be > 0")
+    _check_positive_finite("exact_auc", "threshold", threshold)
     e = _check_errors(errors)
     margin = np.clip(threshold - e, 0.0, threshold)
     return float(margin.mean() / threshold)
@@ -80,10 +85,10 @@ def hist_auc(errors, threshold: float, bin_width: float = 5.0) -> float:
     Averages recall at the right edge of each bin; threshold must be a
     positive multiple of bin_width.
     """
-    if bin_width <= 0:
-        raise ValueError("hist_auc: bin_width must be > 0")
+    _check_positive_finite("hist_auc", "bin_width", bin_width)
+    _check_positive_finite("hist_auc", "threshold", threshold)
     nbins = threshold / bin_width
-    if threshold <= 0 or abs(nbins - round(nbins)) > 1e-9 * max(1.0, nbins):
+    if abs(nbins - round(nbins)) > 1e-9 * max(1.0, nbins):
         raise ValueError("hist_auc: threshold must be a positive multiple of bin_width")
     nbins = int(round(nbins))
     e = _check_errors(errors)
@@ -94,7 +99,6 @@ def hist_auc(errors, threshold: float, bin_width: float = 5.0) -> float:
 
 def map_at(errors, threshold: float) -> float:
     """Fraction of errors at or below the threshold."""
-    if threshold <= 0:
-        raise ValueError("map_at: threshold must be > 0")
+    _check_positive_finite("map_at", "threshold", threshold)
     e = _check_errors(errors)
     return float((e <= threshold).mean())

@@ -452,6 +452,19 @@ class TestExitCodes:
         assert "--report works only with --method adalam" in capsys.readouterr().err
         assert not out.exists() and not rep.exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--auc", "nan"], "threshold"), (["--auc=inf"], "threshold"),
+        (["--map", "nan"], "threshold"), (["--map=inf"], "threshold"),
+        (["--hist-auc", "5", "--bin-width", "nan"], "bin_width"),
+    ], ids=["auc-nan", "auc-inf", "map-nan", "map-inf", "bin-width-nan"])
+    def test_eval_non_finite_threshold(self, tmp_path, capsys, flags, name):
+        err = tmp_path / "err.txt"
+        err.write_text("1\ninf\n")
+        code, out, stderr = run(["eval", "--errors", str(err)] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite and > 0" in stderr
+
     def test_eval_gt_column_required(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"
         mt.write_text("ADALAM-MT 1 1 0\n0 0 0.5 0.5\n")

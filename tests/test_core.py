@@ -195,8 +195,9 @@ class TestAdalamParams:
 
 class TestGeometryTypes:
     def test_seed_radii(self):
-        with pytest.raises(ValueError):
-            Seed(match_index=0, r1=0.0, r2=1.0)
+        for r1, r2 in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="radii must be > 0"):
+                Seed(match_index=0, r1=r1, r2=r2)
 
     def test_neighborhood_requires_seed_member(self):
         seed = Seed(match_index=5, r1=1.0, r2=1.0)

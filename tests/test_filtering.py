@@ -89,8 +89,9 @@ class TestComputeRadius:
         assert scaled == pytest.approx(3 * base, rel=1e-12)
 
     def test_invalid_area_ratio(self):
-        with pytest.raises(ValueError):
-            compute_radius(ImageSize(10, 10), 0.0)
+        for area_ratio in (0.0, math.nan):
+            with pytest.raises(ValueError, match="area_ratio must be > 0"):
+                compute_radius(ImageSize(10, 10), area_ratio)
 
 
 class TestSelectSeeds:
@@ -138,6 +139,12 @@ class TestSelectSeeds:
     def test_empty(self):
         k = kps_at([[0.0, 0.0]])
         assert select_seeds(MatchSet.empty(), k, 10.0).size == 0
+
+    def test_invalid_radius(self):
+        xy = np.array([[0.0, 0.0], [10.0, 0.0]])
+        for r1 in (0.0, math.nan):
+            with pytest.raises(ValueError, match="r1 must be > 0"):
+                select_seeds(make_matchset(xy), kps_at(xy), r1)
 
     @pytest.mark.parametrize("offset", [1e7, -1e7, 1e12])
     def test_offsets_match_brute_force_oracle(self, offset):
@@ -349,8 +356,9 @@ class TestConfidences:
         assert list(order) == [3, 1, 0, 2]
 
     def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            confidences(np.array([1.0]), 0.0)
+        for r2 in (0.0, math.nan):
+            with pytest.raises(ValueError, match="r2 must be > 0"):
+                confidences(np.array([1.0]), r2)
 
 
 class TestSelectInliers:

@@ -52,8 +52,9 @@ def mutual_oracle(d1, d2, matches):
     return matches.idx1[back == matches.idx1]
 
 
-# The float32 near-tie: the first three rows cast to the same float32 as the
-# nearest one, so all three fill the screening candidates.
+# The float32 near-tie: all four rows cast to the same float32 score, so the
+# two screening candidates are rows 0 and 1, and the nearest one, row 3,
+# passes the floor of the 2nd candidate's score less 2·e_i.
 NEAR_TIE = ([[1.0, 0.0]], [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5 + 1e-8, 0.0]])
 SHIFTS = [-600, -80, 80, 600]
 
@@ -185,14 +186,15 @@ class TestScreeningGuard:
         assert list(recheck) == [True]
 
     def test_separated_rows_are_not_rechecked(self):
-        # With distinct 2nd and 3rd candidates the screening is trusted.
+        # No row but the two candidates reaches the floor, so the screening
+        # is trusted.
         rng = np.random.default_rng(14)
         recheck = matching._nearest(rng.normal(size=(200, 32)), rng.normal(size=(300, 32)))[3]
         assert not recheck.any()
 
     def test_guard_is_inclusive(self, monkeypatch):
-        # A zero bound still rechecks a row whose 2nd and 3rd float32
-        # scores are equal: the gap must exceed twice the bound.
+        # A zero bound still rechecks a row where another row's float32
+        # score equals the 2nd candidate's: reaching the floor is enough.
         monkeypatch.setattr(matching, "_screen_bound", lambda norm_a, max_b, d: 0.0 * norm_a)
         idx, _, _, recheck = matching._nearest(np.array(NEAR_TIE[0]), np.array(NEAR_TIE[1]))
         assert list(recheck) == [True] and list(idx) == [3]
@@ -221,6 +223,22 @@ class TestBlocks:
         assert recheck[planted].all()
         m = nn_match(kps_from_desc(d1), kps_from_desc(d2))
         assert np.array_equal(m.idx2, idx)
+
+    @pytest.mark.parametrize("n1", [255, 257, 513])
+    def test_recheck_of_every_row_matches_oracle(self, monkeypatch, n1):
+        # A huge bound puts every row of the second set above every floor,
+        # so every row is recomputed against the whole second set.
+        monkeypatch.setattr(matching, "_screen_bound",
+                            lambda norm_a, max_b, d: np.full_like(norm_a, 1e30))
+        rng = np.random.default_rng(n1)
+        d1 = rng.normal(size=(n1, 16))
+        d2 = rng.normal(size=(300, 16))
+        idx, dist, ratio, recheck = matching._nearest(d1, d2)
+        oracle = explicit_nn(d1, d2)
+        assert recheck.all()
+        assert np.array_equal(idx, oracle[0])
+        assert np.array_equal(dist, oracle[1])
+        assert np.array_equal(ratio, oracle[2])
 
     def test_working_memory_is_bounded(self):
         # About 13 MB: the second set in float64 and float32 and one

@@ -69,8 +69,9 @@ class TestExactAuc:
             exact_auc(bad, 10.0)
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            exact_auc([1.0], 0.0)
+        for t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="exact_auc: threshold"):
+                exact_auc([1.0], t)
 
 
 class TestHistAuc:
@@ -101,9 +102,15 @@ class TestHistAuc:
         with pytest.raises(ValueError):
             hist_auc([1.0], 12.0, 5.0)
 
+    def test_invalid_threshold(self):
+        for t in (-5.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="hist_auc: threshold"):
+                hist_auc([1.0], t, 5.0)
+
     def test_invalid_bin_width(self):
-        with pytest.raises(ValueError):
-            hist_auc([1.0], 10.0, 0.0)
+        for w in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="hist_auc: bin_width"):
+                hist_auc([1.0], 10.0, w)
 
 
 class TestMapAt:
@@ -121,5 +128,6 @@ class TestMapAt:
             assert exact_auc(e, t) <= map_at(e, t) + 1e-12
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            map_at([1.0], -1.0)
+        for t in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="map_at: threshold"):
+                map_at([1.0], t)
