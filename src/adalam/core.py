@@ -192,7 +192,9 @@ class AdalamParams:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
-        for name in ("area_ratio", "t_alpha", "t_sigma", "t_c", "eps_residual"):
+        if not 0 < self.area_ratio < math.inf:
+            raise ValueError("AdalamParams: area_ratio must be > 0")
+        for name in ("t_alpha", "t_sigma", "t_c", "eps_residual"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"AdalamParams: {name} must be > 0")
         if not self.lam >= 1:
@@ -214,7 +216,7 @@ class Seed:
     r2: float
 
     def __post_init__(self):
-        if not self.r1 > 0 or not self.r2 > 0:
+        if not 0 < self.r1 < math.inf or not 0 < self.r2 < math.inf:
             raise ValueError("Seed: radii must be > 0")
 
 

@@ -10,8 +10,15 @@ Spatial lookups use square grids over image-1 positions, in plain NumPy:
 cells just under r1 / sqrt(2) wide for the seed NMS, and just over lam * r1
 wide for the neighbourhood candidates, whose exact gates come after.
 
-All stages are pure functions of immutable inputs, and each seed is verified
-independently of the others.
+adalam_filter gates the candidates of consecutive seeds in groups of at most
+_GROUP (candidate, seed) pairs, one membership pass per group, so that peak
+memory does not grow with seeds x matches. Each seed's neighbourhood is then
+verified on its own. The least-squares refits often collapse several
+iterations onto one model; each distinct model is scored once, which gives
+the same bits, as NumPy's elementwise operations are correctly rounded.
+
+All stages are pure functions of immutable inputs, and each seed's outcome
+is independent of the others.
 """
 from __future__ import annotations
 
@@ -39,6 +46,7 @@ _DEGEN_REL = 1e-9      # minimal-sample degeneracy: |det| vs max source norm^2
 _SCATTER_REL = 1e-12   # least-squares scatter rank test: det vs trace^2
 _GRID_SLACK = 1e-5     # relative margin of grid cell sides over rounding
 _GRID_MAX_CELLS = 2**31  # cells per axis: int64 keys, rounding << _GRID_SLACK
+_GROUP = 2**14         # (candidate, seed) pairs per membership pass, beyond one seed's
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class IterationOutcome:
 
 def compute_radius(size: ImageSize, area_ratio: float) -> float:
     """Suppression radius R with R^2 * pi * area_ratio = image area."""
-    if not area_ratio > 0:
+    if not 0 < area_ratio < math.inf:
         raise ValueError("compute_radius: area_ratio must be > 0")
     return math.sqrt(size.area / (math.pi * area_ratio))
 
@@ -95,7 +103,7 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     cells, which holds every match within r1 of it, survives; the others
     are tested exactly against the better matches of that block.
     """
-    if not r1 > 0:
+    if not 0 < r1 < math.inf:
         raise ValueError("select_seeds: r1 must be > 0")
     m = len(matches)
     if m == 0:
@@ -133,35 +141,48 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
 
 
 def _transform_arrays(matches: MatchSet, k1: KeypointSet, k2: KeypointSet):
-    """Per-match positions and induced similarity transform components."""
-    x1 = k1.xy[matches.idx1]
-    x2 = k2.xy[matches.idx2]
+    """Per-match positions, transposed to (2, m), and induced similarity
+    transform components."""
+    x1 = np.ascontiguousarray(k1.xy[matches.idx1].T)
+    x2 = np.ascontiguousarray(k2.xy[matches.idx2].T)
     alpha_t = _wrap_angle(k2.alpha[matches.idx2] - k1.alpha[matches.idx1])
     logsig_t = np.log(k2.sigma[matches.idx2]) - np.log(k1.sigma[matches.idx1])
     return x1, x2, alpha_t, logsig_t
 
 
-def _members(cand, si, arrays, ratio, lam_r1, lam_r2, params):
-    """Neighborhood members of seed si among the candidate match indices.
+def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
+    """Neighborhood members of a group of seeds among (candidate, seed) pairs.
 
+    Pair k is match cand[k] and seed seeds[owner[k]]; no pair may repeat.
     arrays is the tuple from _transform_arrays. A candidate is a member when
     it passes the spatial gates of both images and, with side information,
-    the orientation and scale gates; the seed always is. Returns (members,
-    centered1, centered2): members ordered by ratio ascending, ties by match
-    index, and their positions relative to the seed's in each image.
+    the orientation and scale gates; each seed is always its own member.
+    Returns (members, bounds, centered1, centered2): seed j's members are
+    members[bounds[j]:bounds[j + 1]], ordered by ratio ascending, ties by
+    match index, and the same rows of the column-major (n, 2) centered1 and
+    centered2 hold their positions relative to the seed's in each image.
     """
     x1, x2, alpha_t, logsig_t = arrays
-    d1 = x1[cand] - x1[si]
-    cand = cand[np.einsum("ij,ij->i", d1, d1) <= lam_r1 * lam_r1]
-    d2 = x2[cand] - x2[si]
-    ok = np.einsum("ij,ij->i", d2, d2) <= lam_r2 * lam_r2
+    si = seeds[owner]
+    d = np.take(x1, cand, axis=1) - np.take(x1, si, axis=1)
+    d *= d
+    near = d[0] + d[1] <= lam_r1 * lam_r1
+    cand, owner, si = cand[near], owner[near], si[near]
+    d = np.take(x2, cand, axis=1) - np.take(x2, si, axis=1)
+    d *= d
+    ok = d[0] + d[1] <= lam_r2 * lam_r2
     if params.use_side_info:
         da = np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand]))
         ds = np.abs(logsig_t[si] - logsig_t[cand])
         ok &= (da <= params.t_alpha) & (ds <= params.t_sigma)
-    members = cand[ok | (cand == si)]
-    members = members[np.lexsort((members, ratio[members]))]
-    return members, x1[members] - x1[si], x2[members] - x2[si]
+    ok |= cand == si
+    cand, owner = cand[ok], owner[ok]
+    order = np.lexsort((cand, ratio[cand], owner))
+    members, owner = cand[order], owner[order]
+    si = seeds[owner]
+    bounds = np.searchsorted(owner, np.arange(seeds.shape[0] + 1))
+    c1, c2 = ((np.take(x, members, axis=1) - np.take(x, si, axis=1)).T for x in (x1, x2))
+    return members, bounds, c1, c2
 
 
 def assemble_neighborhood(
@@ -180,11 +201,13 @@ def assemble_neighborhood(
     ratio ascending, ties by match index; the seed is always a member.
     """
     si = int(seed.match_index)
-    if not (0 <= si < len(matches)):
+    m = len(matches)
+    if not (0 <= si < m):
         raise ValueError("assemble_neighborhood: seed match index out of range")
-    members, centered1, centered2 = _members(
-        np.arange(len(matches), dtype=np.int64), si, _transform_arrays(matches, k1, k2),
-        matches.ratio, params.lam * seed.r1, params.lam * seed.r2, params,
+    members, _, centered1, centered2 = _members(
+        np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64), np.array([si]),
+        _transform_arrays(matches, k1, k2), matches.ratio,
+        params.lam * seed.r1, params.lam * seed.r2, params,
     )
     return Neighborhood(seed, members, centered1, centered2)
 
@@ -233,16 +256,27 @@ def fit_affine_lsq(u, v) -> Optional[AffineModel]:
 def _residuals(a, u, v):
     """Residuals ||A_t u_k - v_k|| of models a (t, 2, 2) on members (m, 2) -> (t, m)."""
     ux, uy = u[:, 0], u[:, 1]
-    dx = a[:, 0, 0, None] * ux + a[:, 0, 1, None] * uy - v[:, 0]
-    dy = a[:, 1, 0, None] * ux + a[:, 1, 1, None] * uy - v[:, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    dx = np.multiply(a[:, 0, 0, None], ux)
+    tmp = np.multiply(a[:, 0, 1, None], uy)
+    dx += tmp
+    dx -= v[:, 0]
+    dy = np.multiply(a[:, 1, 0, None], ux)
+    np.multiply(a[:, 1, 1, None], uy, out=tmp)
+    dy += tmp
+    dy -= v[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _confidences(rs, r2, eps_residual):
     """Per-rank confidence of residuals sorted ascending along the last axis."""
     m = rs.shape[-1]
     rs = np.maximum(rs, eps_residual * r2)
-    return (np.arange(1, m + 1) * r2 * r2) / (m * rs * rs)
+    den = np.multiply(m, rs)
+    den *= rs
+    return np.divide(np.arange(1, m + 1) * r2 * r2, den, out=den)
 
 
 def residuals(model: AffineModel, neighborhood: Neighborhood) -> np.ndarray:
@@ -260,7 +294,7 @@ def confidences(resid, r2: float, eps_residual: float = 1e-6):
     uniformly scattered outliers within radius r2 at the same residual.
     Residuals are clamped below at eps_residual * r2 before squaring.
     """
-    if not r2 > 0:
+    if not 0 < r2 < math.inf:
         raise ValueError("confidences: r2 must be > 0")
     resid = np.asarray(resid, dtype=np.float64)
     order = np.argsort(resid, kind="stable")
@@ -366,6 +400,17 @@ def _refit_models(a, u, v, mask, counts):
     return a
 
 
+def _distinct_models(a):
+    """Distinct models of a batch a (t, 2, 2), told apart by their bits.
+
+    Returns (first, rows): the first row holding each distinct model, in
+    increasing order of bits, and per row the index into first of its model.
+    """
+    keys = a.reshape(a.shape[0], 4).view(np.dtype((np.void, 32)))[:, 0]  # 4 float64s
+    _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+    return first, rows
+
+
 def _verify(u, v, r2, params: AdalamParams):
     """Run the deterministic verification on seed-centered members u -> v.
 
@@ -387,19 +432,23 @@ def _verify(u, v, r2, params: AdalamParams):
     a[:, 1, 1] = (v[q_idx, 1] * u[p_idx, 0] - v[p_idx, 1] * u[q_idx, 0]) / det
 
     resid, rs, conf, counts = _score_models(a, u, v, r2, params)
+    rows = np.arange(t)  # the scored row of each iteration
 
     if params.use_refit:
-        # Every row is scored again: one that kept its model gets the same bits.
+        # Rows with equal model bits get equal scores, as every operation
+        # is elementwise and correctly rounded: score each distinct model once.
         a = _refit_models(a, u, v, _prefix_mask(resid, rs, counts), counts)
-        resid, rs, conf, counts = _score_models(a, u, v, r2, params)
+        first, rows = _distinct_models(a)
+        resid, rs, conf, counts = _score_models(a[first], u, v, r2, params)
 
-    best = int(np.argmax(counts))
-    best_count = int(counts[best])
+    best = int(np.argmax(counts[rows]))
+    k = rows[best]
+    best_count = int(counts[k])
     if best_count < params.t_n:
         return best, best_count, None, None, None
-    row = slice(best, best + 1)
+    row = slice(k, k + 1)
     inliers = np.flatnonzero(_prefix_mask(resid[row], rs[row], counts[row]))
-    return best, best_count, a[best], inliers, float(conf[best, best_count - 1])
+    return best, best_count, a[best], inliers, float(conf[k, best_count - 1])
 
 
 def verify_seed(neighborhood: Neighborhood, params: AdalamParams) -> Optional[IterationOutcome]:
@@ -454,22 +503,36 @@ def adalam_filter(
     # Neighbourhood candidates: with cells just over lam * r1 wide, the 3x3
     # block of cells around a seed's cell covers its lam * r1 disk, and each
     # row of the block is one range of keys. _members applies the exact gates.
-    key, width = _grid_keys(arrays[0], lam_r1 * (1.0 + _GRID_SLACK), 1)
+    key, width = _grid_keys(arrays[0].T, lam_r1 * (1.0 + _GRID_SLACK), 1)
     order = np.argsort(key)
     skey = key[order]
     rows = key[seeds, None] + width * np.arange(-1, 2)
-    lo = np.searchsorted(skey, rows - 1, side="left").tolist()
-    hi = np.searchsorted(skey, rows + 1, side="right").tolist()
+    lo = np.searchsorted(skey, rows - 1, side="left")
+    lens = np.searchsorted(skey, rows + 1, side="right") - lo
+    per_seed = lens.sum(axis=1)
+    # Cut the seeds into runs of consecutive seeds with at most _GROUP
+    # candidates in all; a seed with more stands alone.
+    cuts, total = [0], 0
+    for j, n in enumerate(per_seed.tolist()):
+        if total + n > _GROUP and j > cuts[-1]:
+            cuts.append(j)
+            total = 0
+        total += n
+    cuts.append(seeds.shape[0])
 
     reports = []
     kept = [np.zeros(0, dtype=np.int64)]
-    for si, a, b in zip(seeds.tolist(), lo, hi):
-        cand = np.concatenate(
-            (order[a[0]:b[0]], order[a[1]:b[1]], order[a[2]:b[2]])
-        )
-        members, u, v = _members(cand, si, arrays, matches.ratio, lam_r1, lam_r2, params)
-        best, count, _, inliers, _ = _verify(u, v, r2, params)
-        reports.append(SeedReport(si, best, count, inliers is not None))
-        if inliers is not None:
-            kept.append(members[inliers])
+    for g0, g1 in zip(cuts[:-1], cuts[1:]):
+        ln = lens[g0:g1].ravel()
+        at = np.repeat(lo[g0:g1].ravel() - np.cumsum(ln) + ln, ln) + np.arange(ln.sum())
+        owner = np.repeat(np.arange(g1 - g0), per_seed[g0:g1])
+        members, bounds, u, v = _members(order[at], owner, seeds[g0:g1], arrays,
+                                         matches.ratio, lam_r1, lam_r2, params)
+        bounds = bounds.tolist()
+        for j, si in enumerate(seeds[g0:g1].tolist()):
+            b0, b1 = bounds[j], bounds[j + 1]
+            best, count, _, inliers, _ = _verify(u[b0:b1], v[b0:b1], r2, params)
+            reports.append(SeedReport(si, best, count, inliers is not None))
+            if inliers is not None:
+                kept.append(members[b0:b1][inliers])
     return FilterResult(selected=_sorted_unique(np.concatenate(kept)), seed_reports=reports)

@@ -88,6 +88,8 @@ def hist_auc(errors, threshold: float, bin_width: float = 5.0) -> float:
     _check_positive_finite("hist_auc", "bin_width", bin_width)
     _check_positive_finite("hist_auc", "threshold", threshold)
     nbins = threshold / bin_width
+    if not math.isfinite(nbins):
+        raise ValueError("hist_auc: threshold / bin_width must be finite")
     if abs(nbins - round(nbins)) > 1e-9 * max(1.0, nbins):
         raise ValueError("hist_auc: threshold must be a positive multiple of bin_width")
     nbins = int(round(nbins))

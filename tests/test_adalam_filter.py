@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import adalam.filtering as filtering
 from adalam import (
     AdalamParams,
     ImageSize,
@@ -263,3 +267,74 @@ def test_member_on_the_radius_from_a_cell_edge():
     nb = assemble_neighborhood(Seed(1, r1, r1), matches, k, k, params)
     assert 2 in nb.members
     assert_filter_equals_replay(k, k, matches, params)
+
+
+MEMBERSHIP_SIZE = ImageSize(100, 100)  # r1 about 5.6: a candidate cell holds several seeds
+
+
+@st.composite
+def membership_scenes(draw):
+    """Up to 50 matches on a 100 x 100 image: lattice or free positions,
+    optionally duplicated, each moved in image 2 or not; all-equal or drawn
+    ratios; orientations and scales from small sets, so that the
+    side-information gates cut; and up to four matches exactly lam * r1
+    from match 0 along an axis, in both images."""
+    n = draw(st.integers(1, 50))
+    coord = draw(st.sampled_from([st.integers(0, 25).map(lambda k: 4.0 * k),
+                                  st.floats(0.0, 100.0)]))
+    xy1 = draw(hnp.arrays(np.float64, (n, 2), elements=coord))
+    if draw(st.booleans()):
+        xy1[n // 2:] = xy1[:n - n // 2]
+    xy2 = xy1 + draw(st.sampled_from([0.0, 3.0]))
+    moved = draw(hnp.arrays(bool, n))
+    xy2[moved] = draw(hnp.arrays(np.float64, (n, 2), elements=coord))[moved]
+    lam_r1 = AdalamParams().lam * compute_radius(MEMBERSHIP_SIZE, AdalamParams().area_ratio)
+    # Coordinates lam_r1 +- lam_r1 are exact, so each offset is exactly lam_r1.
+    steps = [(lam_r1, 0.0), (-lam_r1, 0.0), (0.0, lam_r1), (0.0, -lam_r1)]
+    xy1[0] = xy2[0] = (lam_r1, lam_r1)
+    for j, (dx, dy) in enumerate(steps[:draw(st.integers(0, min(4, n - 1)))], start=1):
+        xy1[j] = xy2[j] = (lam_r1 + dx, lam_r1 + dy)
+    side = [draw(hnp.arrays(np.float64, n, elements=st.sampled_from(values)))
+            for values in ([1.0, 2.0, 8.0], [1.0, 2.0, 8.0], [0.0, 0.3, 1.0], [0.0, 0.3, 1.0])]
+    if draw(st.booleans()):
+        ratio = np.full(n, 0.5)
+    else:
+        ratio = draw(hnp.arrays(np.float64, n, elements=st.integers(0, 10).map(lambda k: k / 10)))
+    k1 = KeypointSet(xy1, side[0], side[2], np.zeros((n, 2)))
+    k2 = KeypointSet(xy2, side[1], side[3], np.zeros((n, 2)))
+    return k1, k2, MatchSet(np.arange(n), np.arange(n), np.zeros(n), ratio)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(membership_scenes(), st.sampled_from([1, 40, filtering._GROUP]),
+       st.sampled_from([AdalamParams(), AdalamParams(use_side_info=False)]))
+def test_grouped_membership_equals_assemble_neighborhood(scene, group, params):
+    """adalam_filter gates the candidates of consecutive seeds in groups of
+    at most `group` pairs, or one seed; group 1 puts a seam between every
+    two seeds. Each seed's members and centred positions must be
+    byte-equal to assemble_neighborhood's, which gates every match."""
+    k1, k2, matches = scene
+    groups = []
+    members_of = filtering._members
+
+    def spy(cand, owner, seeds, *rest):
+        out = members_of(cand, owner, seeds, *rest)
+        groups.append((cand.shape[0], seeds, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtering, "_GROUP", group)
+        mp.setattr(filtering, "_members", spy)
+        result = adalam_filter(k1, k2, MEMBERSHIP_SIZE, MEMBERSHIP_SIZE, matches, params)
+
+    r1 = compute_radius(MEMBERSHIP_SIZE, params.area_ratio)
+    assert [s for _, seeds, _ in groups for s in seeds.tolist()] == [
+        r.seed_match_index for r in result.seed_reports]
+    for pairs, seeds, (members, bounds, c1, c2) in groups:
+        assert pairs <= group or seeds.shape[0] == 1
+        for j, si in enumerate(seeds.tolist()):
+            nb = assemble_neighborhood(Seed(si, r1, r1), matches, k1, k2, params)
+            part = slice(bounds[j], bounds[j + 1])
+            assert members[part].tobytes() == nb.members.tobytes()
+            assert np.ascontiguousarray(c1[part]).tobytes() == nb.centered1.tobytes()
+            assert np.ascontiguousarray(c2[part]).tobytes() == nb.centered2.tobytes()

@@ -373,6 +373,15 @@ class TestExitCodes:
             assert field in capsys.readouterr().err
             assert not out.exists()
 
+    def test_infinite_area_ratio(self, tmp_path, capsys):
+        kp1, kp2, mt = synth_files(tmp_path)
+        out = tmp_path / "o.txt"
+        code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                     "--matches", str(mt), "--out", str(out), "--area-ratio", "inf"])
+        assert code == 2
+        assert "area_ratio must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_synth_setting(self, tmp_path, capsys):
         for flag, field in [("--noise-sigma", "noise_sigma"),
                             ("--patch-rotation", "patch_rotation")]:
@@ -464,6 +473,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"{name} must be finite and > 0" in stderr
+
+    def test_eval_hist_auc_bin_count_overflow(self, tmp_path, capsys):
+        err = tmp_path / "err.txt"
+        err.write_text("1\ninf\n")
+        code, out, stderr = run(["eval", "--errors", str(err), "--hist-auc", "1e308",
+                                 "--bin-width", "1e-308"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "threshold / bin_width must be finite" in stderr
 
     def test_eval_gt_column_required(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"

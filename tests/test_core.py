@@ -186,6 +186,7 @@ class TestAdalamParams:
             {"t_c": math.nan},
             {"fixed_threshold": math.nan},
             {"eps_residual": math.nan},
+            {"area_ratio": math.inf},
         ],
     )
     def test_invalid(self, kw):
@@ -195,7 +196,8 @@ class TestAdalamParams:
 
 class TestGeometryTypes:
     def test_seed_radii(self):
-        for r1, r2 in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        for r1, r2 in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                       (math.inf, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError, match="radii must be > 0"):
                 Seed(match_index=0, r1=r1, r2=r2)
 

@@ -24,7 +24,8 @@ from adalam import (
     select_seeds,
     verify_seed,
 )
-from adalam.filtering import _prefix_mask, _prosac_pairs, _score_models
+import adalam.filtering as filtering
+from adalam.filtering import _prefix_mask, _prosac_pairs, _score_models, _verify
 
 
 def make_matchset(x1, ratios=None):
@@ -89,7 +90,7 @@ class TestComputeRadius:
         assert scaled == pytest.approx(3 * base, rel=1e-12)
 
     def test_invalid_area_ratio(self):
-        for area_ratio in (0.0, math.nan):
+        for area_ratio in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="area_ratio must be > 0"):
                 compute_radius(ImageSize(10, 10), area_ratio)
 
@@ -142,7 +143,7 @@ class TestSelectSeeds:
 
     def test_invalid_radius(self):
         xy = np.array([[0.0, 0.0], [10.0, 0.0]])
-        for r1 in (0.0, math.nan):
+        for r1 in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="r1 must be > 0"):
                 select_seeds(make_matchset(xy), kps_at(xy), r1)
 
@@ -356,7 +357,7 @@ class TestConfidences:
         assert list(order) == [3, 1, 0, 2]
 
     def test_invalid_radius(self):
-        for r2 in (0.0, math.nan):
+        for r2 in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="r2 must be > 0"):
                 confidences(np.array([1.0]), r2)
 
@@ -447,6 +448,22 @@ def reference_verify(nb, params):
     if inl.size < params.t_n:
         return None
     return it, np.sort(inl)
+
+
+def verify_every_row(u, v, r2, params):
+    """_verify with every refit row scored, not only each distinct model."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtering, "_distinct_models", lambda a: (np.arange(a.shape[0]),) * 2)
+        return _verify(u, v, r2, params)
+
+
+def assert_same_verification(got, expect):
+    """Equal (best, count, model, inliers, worst confidence), arrays by bytes."""
+    assert got[:2] == expect[:2] and got[4] == expect[4]
+    for x, y in zip(got[2:4], expect[2:4]):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestVerifySeed:
@@ -555,6 +572,34 @@ class TestVerifySeed:
                     assert got is not None
                     assert got.iteration_index == expect[0]
                     assert np.array_equal(got.inlier_member_indices, expect[1])
+
+    @pytest.mark.parametrize("params", [
+        AdalamParams(t_n=2), AdalamParams(t_n=2, fixed_threshold=1.0),
+    ], ids=["adaptive", "fixed-1"])
+    def test_distinct_models_scored_once(self, params):
+        """Twelve members on one affine but for member 1. The seed sits at
+        the origin, so the samples run (1, 2), (1, 3), (2, 3), ...: those
+        with member 1 fit it and a few more, the others find all eleven
+        inliers and refit to the same bits. The best count is then tied
+        between duplicate rows, and the first of them, iteration 2, wins."""
+        rng = np.random.default_rng(27)
+        a = np.array([[1.2, 0.3], [-0.2, 0.9]])
+        u = np.vstack([[0.0, 0.0], rng.uniform(-40, 40, size=(11, 2))])
+        v = u @ a.T
+        v[1] += [30.0, -20.0]
+        nb = build_neighborhood(u, v, ratios=np.linspace(0.0, 0.5, 12))
+        u, v = nb.centered1, nb.centered2
+        seen = []
+        distinct_models = filtering._distinct_models
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtering, "_distinct_models",
+                       lambda a: seen.append(distinct_models(a)) or seen[-1])
+            got = _verify(u, v, nb.seed.r2, params)
+        (first, rows), = seen
+        assert first.size < rows.size
+        assert got[:2] == (2, 11)
+        assert np.count_nonzero(rows == rows[2]) > 1
+        assert_same_verification(got, verify_every_row(u, v, nb.seed.r2, params))
 
     def test_ties_prefer_earlier_iteration(self):
         rng = np.random.default_rng(24)
@@ -680,6 +725,13 @@ class TestVerifySeedProperties:
             assert got is not None
             assert got.iteration_index == expect[0]
             assert np.array_equal(got.inlier_member_indices, expect[1])
+
+    @PROPERTY
+    @given(degenerate_neighborhoods(), st.sampled_from(PARAM_SETS))
+    def test_distinct_models_score_as_every_row(self, nb, params):
+        u, v = nb.centered1, nb.centered2
+        assert_same_verification(_verify(u, v, nb.seed.r2, params),
+                                 verify_every_row(u, v, nb.seed.r2, params))
 
 
 R1 = 5.0  # lattice points (0, 0) and (3, 4) are exactly r1 apart

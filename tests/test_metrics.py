@@ -112,6 +112,11 @@ class TestHistAuc:
             with pytest.raises(ValueError, match="hist_auc: bin_width"):
                 hist_auc([1.0], 10.0, w)
 
+    def test_bin_count_overflow(self):
+        # Both arguments are finite, but their ratio overflows to inf.
+        with pytest.raises(ValueError, match=r"hist_auc: threshold / bin_width must be finite"):
+            hist_auc([1.0], 1e308, 1e-308)
+
 
 class TestMapAt:
     def test_worked_example(self):
