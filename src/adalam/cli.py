@@ -190,20 +190,22 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _parse_thresholds(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_thresholds(text):
+    return [float(v) for v in (text or "").split(",") if v.strip()]
 
 
 def _cmd_eval(args) -> int:
     out = []
     if args.errors:
+        if args.selected or args.matches:
+            raise ValueError("--errors takes neither --selected nor --matches")
+        auc, hist, maps = (_parse_thresholds(x) for x in (args.auc, args.hist_auc, args.map))
+        if not (auc or hist or maps):
+            raise ValueError("--errors needs a threshold in --auc, --hist-auc or --map")
         errors = read_errors(args.errors)
-        for t in _parse_thresholds(args.auc) if args.auc else []:
-            out.append(f"auc{t:g}={exact_auc(errors, t):.9g}")
-        for t in _parse_thresholds(args.hist_auc) if args.hist_auc else []:
-            out.append(f"auc{t:g}*={hist_auc(errors, t, args.bin_width):.9g}")
-        for t in _parse_thresholds(args.map) if args.map else []:
-            out.append(f"map{t:g}={map_at(errors, t):.9g}")
+        out.extend(f"auc{t:g}={exact_auc(errors, t):.9g}" for t in auc)
+        out.extend(f"auc{t:g}*={hist_auc(errors, t, args.bin_width):.9g}" for t in hist)
+        out.extend(f"map{t:g}={map_at(errors, t):.9g}" for t in maps)
     elif args.selected and args.matches:
         matches, gt = read_matches(args.matches)
         if gt is None:

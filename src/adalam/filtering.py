@@ -13,9 +13,11 @@ wide for the neighbourhood candidates, whose exact gates come after.
 adalam_filter gates the candidates of consecutive seeds in groups of at most
 _GROUP (candidate, seed) pairs, one membership pass per group, so that peak
 memory does not grow with seeds x matches. Each seed's neighbourhood is then
-verified on its own. The least-squares refits often collapse several
-iterations onto one model; each distinct model is scored once, which gives
-the same bits, as NumPy's elementwise operations are correctly rounded.
+verified on its own. Minimal-sample models and least-squares refits share
+one 2x2 solve; a model's score is its inlier count, closing residual (its
+inliers are the members at or below it) and worst-inlier confidence. Each
+distinct refit model is scored once, with the same bits, as NumPy's
+elementwise operations are correctly rounded.
 
 All stages are pure functions of immutable inputs, and each seed's outcome
 is independent of the others.
@@ -88,6 +90,11 @@ def _grid_keys(pos, side, pad):
     return cell[:, 0] * width + (cell[:, 1] + pad), width
 
 
+def _ranges(lo, lens):
+    """Concatenation of the index ranges lo[i] : lo[i] + lens[i]."""
+    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
 def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     """Non-maximum suppression of matches by confidence over image-1 positions.
 
@@ -132,7 +139,7 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     lo = np.where(better[open_], start[at[open_]], 0).ravel()
     lens = np.where(better[open_], end[at[open_]], 0).ravel() - lo
     owner = np.repeat(np.repeat(best[open_], block.shape[0]), lens)
-    other = order[np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+    other = order[_ranges(lo, lens)]
     d = pos[other] - pos[owner]
     hit = (rank[other] < rank[owner]) & (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r1 * r1)
     suppressed = np.zeros(m, dtype=bool)
@@ -349,27 +356,33 @@ def _prosac_pairs(u, budget):
 def _score_models(a, u, v, r2, params):
     """Score models a (t, 2, 2) on members u -> v.
 
-    Returns resid (t, m) per member, rs the same sorted per row, conf (t, m)
-    per rank and counts (t,), the inlier prefix length of each model."""
+    Returns resid (t, m) and per model: counts, the inlier prefix length in
+    residual order; closing, the count-th smallest residual (-inf if none);
+    worst, the confidence at that rank (NaN if none). An equal residual ranks
+    higher, so it has no lower confidence and passes the same threshold: the
+    inliers are exactly the members with resid <= closing.
+    """
     resid = _residuals(a, u, v)
     rs = np.sort(resid, axis=1)
     conf = _confidences(rs, r2, params.eps_residual)
     if params.fixed_threshold is not None:
-        return resid, rs, conf, (rs <= params.fixed_threshold).sum(axis=1)
-    qual = conf >= params.t_c
-    last = conf.shape[1] - np.argmax(qual[:, ::-1], axis=1)
-    return resid, rs, conf, np.where(qual.any(axis=1), last, 0)
+        counts = (rs <= params.fixed_threshold).sum(axis=1)
+    else:
+        qual = conf >= params.t_c
+        last = conf.shape[1] - np.argmax(qual[:, ::-1], axis=1)
+        counts = np.where(qual.any(axis=1), last, 0)
+    at = np.arange(rs.shape[0]) * rs.shape[1] + counts - 1  # flat index of rank count - 1
+    closing, worst = rs.take(at), conf.take(at)
+    closing[counts == 0], worst[counts == 0] = -np.inf, np.nan
+    return resid, counts, closing, worst
 
 
-def _prefix_mask(resid, rs, counts):
-    """Member mask (t, m) of each model's inlier prefix in residual order.
-
-    Both count rules close the prefix under ties: an equal residual has a
-    higher rank, so no lower confidence, and passes the same fixed threshold.
-    The prefix is thus every member at most the count-th smallest residual.
-    """
-    thr = rs[np.arange(rs.shape[0]), np.maximum(counts - 1, 0)]
-    return (resid <= thr[:, None]) & (counts > 0)[:, None]
+def _solve(b, s, det):
+    """X with X s = b on (t, 2, 2) batches, det being det(s): b @ adj(s) / det,
+    whose entry (r, c) is (b[r, c] s[1-c, 1-c] - b[r, 1-c] s[1-c, c]) / det."""
+    diag = s.diagonal(0, 1, 2)[:, None, ::-1]     # s[1-c, 1-c] by column c
+    off = s[:, ::-1].diagonal(0, 1, 2)[:, None]   # s[1-c, c]
+    return (b * diag - b[:, :, ::-1] * off) / det[:, None, None]
 
 
 def _refit_models(a, u, v, mask, counts):
@@ -378,25 +391,18 @@ def _refit_models(a, u, v, mask, counts):
     Iterations whose inlier scatter is rank deficient (or with fewer than
     two inliers) keep their minimal-sample model. Returns the new batch.
     """
-    m = u.shape[0]
-    prods = np.empty((m, 7))
-    prods[:, 0] = u[:, 0] * u[:, 0]
-    prods[:, 1] = u[:, 0] * u[:, 1]
-    prods[:, 2] = u[:, 1] * u[:, 1]
-    prods[:, 3] = v[:, 0] * u[:, 0]
-    prods[:, 4] = v[:, 0] * u[:, 1]
-    prods[:, 5] = v[:, 1] * u[:, 0]
-    prods[:, 6] = v[:, 1] * u[:, 1]
-    s = mask.astype(np.float64) @ prods
-    sxx, sxy, syy = s[:, 0], s[:, 1], s[:, 2]
-    det = sxx * syy - sxy * sxy
-    ok = (counts >= 2) & (det > _SCATTER_REL * (sxx + syy) ** 2)
-    s, sxx, sxy, syy, d = s[ok], sxx[ok], sxy[ok], syy[ok], det[ok]
+    # Per member, u u^T's 3 distinct entries and v u^T's 4, in C order: the bits
+    # of the sums depend on the layout, and in gemv (t = 1) on the column count.
+    prods = np.empty((u.shape[0], 7))
+    prods[:, :3] = u[:, [0, 0, 1]] * u[:, [0, 1, 1]]
+    prods[:, 3:] = (v[:, :, None] * u[:, None, :]).reshape(-1, 4)
+    sums = mask.astype(np.float64) @ prods
+    s = sums[:, [0, 1, 1, 2]].reshape(-1, 2, 2)  # per model: sum of u u^T
+    b = sums[:, 3:].reshape(-1, 2, 2)            # and of v u^T
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    ok = (counts >= 2) & (det > _SCATTER_REL * (s[:, 0, 0] + s[:, 1, 1]) ** 2)
     a = a.copy()
-    a[ok, 0, 0] = (s[:, 3] * syy - s[:, 4] * sxy) / d
-    a[ok, 0, 1] = (s[:, 4] * sxx - s[:, 3] * sxy) / d
-    a[ok, 1, 0] = (s[:, 5] * syy - s[:, 6] * sxy) / d
-    a[ok, 1, 1] = (s[:, 6] * sxx - s[:, 5] * sxy) / d
+    a[ok] = _solve(b[ok], s[ok], det[ok])
     return a
 
 
@@ -424,31 +430,25 @@ def _verify(u, v, r2, params: AdalamParams):
     t = p_idx.shape[0]
     if t == 0:
         return -1, 0, None, None, None
-    a = np.empty((t, 2, 2))
-    # A = [v_p v_q] [u_p u_q]^-1, expanded componentwise.
-    a[:, 0, 0] = (v[p_idx, 0] * u[q_idx, 1] - v[q_idx, 0] * u[p_idx, 1]) / det
-    a[:, 0, 1] = (v[q_idx, 0] * u[p_idx, 0] - v[p_idx, 0] * u[q_idx, 0]) / det
-    a[:, 1, 0] = (v[p_idx, 1] * u[q_idx, 1] - v[q_idx, 1] * u[p_idx, 1]) / det
-    a[:, 1, 1] = (v[q_idx, 1] * u[p_idx, 0] - v[p_idx, 1] * u[q_idx, 0]) / det
-
-    resid, rs, conf, counts = _score_models(a, u, v, r2, params)
+    # A = [v_p v_q] [u_p u_q]^-1, with the sample's points as columns.
+    pq = np.array([p_idx, q_idx])
+    a = _solve(v[pq].transpose(1, 2, 0), u[pq].transpose(1, 2, 0), det)
+    resid, counts, closing, worst = _score_models(a, u, v, r2, params)
     rows = np.arange(t)  # the scored row of each iteration
 
     if params.use_refit:
         # Rows with equal model bits get equal scores, as every operation
         # is elementwise and correctly rounded: score each distinct model once.
-        a = _refit_models(a, u, v, _prefix_mask(resid, rs, counts), counts)
+        a = _refit_models(a, u, v, resid <= closing[:, None], counts)
         first, rows = _distinct_models(a)
-        resid, rs, conf, counts = _score_models(a[first], u, v, r2, params)
+        resid, counts, closing, worst = _score_models(a[first], u, v, r2, params)
 
     best = int(np.argmax(counts[rows]))
     k = rows[best]
     best_count = int(counts[k])
     if best_count < params.t_n:
         return best, best_count, None, None, None
-    row = slice(k, k + 1)
-    inliers = np.flatnonzero(_prefix_mask(resid[row], rs[row], counts[row]))
-    return best, best_count, a[best], inliers, float(conf[k, best_count - 1])
+    return best, best_count, a[best], np.flatnonzero(resid[k] <= closing[k]), float(worst[k])
 
 
 def verify_seed(neighborhood: Neighborhood, params: AdalamParams) -> Optional[IterationOutcome]:
@@ -523,8 +523,7 @@ def adalam_filter(
     reports = []
     kept = [np.zeros(0, dtype=np.int64)]
     for g0, g1 in zip(cuts[:-1], cuts[1:]):
-        ln = lens[g0:g1].ravel()
-        at = np.repeat(lo[g0:g1].ravel() - np.cumsum(ln) + ln, ln) + np.arange(ln.sum())
+        at = _ranges(lo[g0:g1].ravel(), lens[g0:g1].ravel())
         owner = np.repeat(np.arange(g1 - g0), per_seed[g0:g1])
         members, bounds, u, v = _members(order[at], owner, seeds[g0:g1], arrays,
                                          matches.ratio, lam_r1, lam_r2, params)

@@ -93,9 +93,9 @@ def hist_auc(errors, threshold: float, bin_width: float = 5.0) -> float:
     if abs(nbins - round(nbins)) > 1e-9 * max(1.0, nbins):
         raise ValueError("hist_auc: threshold must be a positive multiple of bin_width")
     nbins = int(round(nbins))
-    e = _check_errors(errors)
+    e = np.sort(_check_errors(errors))
     edges = bin_width * np.arange(1, nbins + 1)
-    recall = (e[None, :] <= edges[:, None]).mean(axis=1)
+    recall = np.searchsorted(e, edges, side="right") / e.size
     return float(recall.mean())
 
 

@@ -483,6 +483,31 @@ class TestExitCodes:
         assert out == ""
         assert "threshold / bin_width must be finite" in stderr
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--auc", ",,"], ["--auc", ""], ["--hist-auc", " , ", "--map", ","],
+    ], ids=["none", "auc-commas", "auc-empty", "hist-and-map-blank"])
+    def test_eval_errors_without_thresholds(self, tmp_path, capsys, flags):
+        err = tmp_path / "err.txt"
+        err.write_text("1\ninf\n")
+        code, out, stderr = run(["eval", "--errors", str(err)] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert stderr == ("adalam eval: --errors needs a threshold in --auc, "
+                          "--hist-auc or --map\n")
+
+    @pytest.mark.parametrize("flag", ["--selected", "--matches"])
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "no-file"])
+    def test_eval_errors_refuses_match_files(self, tmp_path, capsys, flag, exists):
+        err, mt = tmp_path / "err.txt", tmp_path / "mt.txt"
+        err.write_text("1\ninf\n")
+        if exists:
+            mt.write_text("ADALAM-MT 1 1 1\n0 0 0.5 0.5 1\n")
+        code, out, stderr = run(["eval", "--errors", str(err), "--auc", "5", flag, str(mt)],
+                                capsys)
+        assert code == 2
+        assert out == ""
+        assert stderr == "adalam eval: --errors takes neither --selected nor --matches\n"
+
     def test_eval_gt_column_required(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"
         mt.write_text("ADALAM-MT 1 1 0\n0 0 0.5 0.5\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,7 +25,7 @@ from adalam import (
     verify_seed,
 )
 import adalam.filtering as filtering
-from adalam.filtering import _prefix_mask, _prosac_pairs, _score_models, _verify
+from adalam.filtering import _prosac_pairs, _score_models, _verify
 
 
 def make_matchset(x1, ratios=None):
@@ -651,28 +651,33 @@ class TestScoringKernelProperties:
     def test_fixed_threshold_is_inclusive(self):
         u = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0], [6.0, 8.0]])
         params = AdalamParams(fixed_threshold=5.0)
-        _, rs, _, counts = _score_models(np.eye(2)[None], u, np.zeros((4, 2)), 50.0, params)
-        assert list(rs[0]) == [0.0, 1.0, 5.0, 10.0]
+        resid, counts, closing, _ = _score_models(np.eye(2)[None], u, np.zeros((4, 2)),
+                                                  50.0, params)
+        assert list(resid[0]) == [0.0, 5.0, 1.0, 10.0]
         assert list(counts) == [3]
+        assert list(closing) == [5.0]
 
     @PROPERTY
     @given(kernel_inputs(), st.sampled_from(PARAM_SETS), st.sampled_from([2.0, 50.0]))
     def test_scores_match_stable_argsort_definition(self, inputs, params, r2):
         a, u, v = inputs
-        resid, rs, conf, counts = _score_models(a, u, v, r2, params)
-        mask = _prefix_mask(resid, rs, counts)
+        resid, counts, closing, worst = _score_models(a, u, v, r2, params)
         for k in range(a.shape[0]):
             for j in range(u.shape[0]):
                 expect = math.hypot(*(a[k] @ u[j] - v[j]))
                 assert resid[k, j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
             order, conf_k = confidences(resid[k], r2, params.eps_residual)
             inl = select_inliers(order, conf_k, resid[k], params.t_c, params.fixed_threshold)
-            assert np.array_equal(rs[k], resid[k][order])
-            assert np.array_equal(conf[k], conf_k)
-            assert counts[k] == inl.size
-            assert np.array_equal(np.nonzero(mask[k])[0], np.sort(inl))
-            if 0 < counts[k] < u.shape[0]:  # no tie straddles the prefix end
-                assert rs[k, counts[k]] > rs[k, counts[k] - 1]
+            rs, n = resid[k][order], counts[k]
+            assert n == inl.size
+            assert np.array_equal(np.flatnonzero(resid[k] <= closing[k]), np.sort(inl))
+            if n:
+                assert closing[k] == rs[n - 1]
+                assert worst[k] == conf_k[n - 1]
+            else:
+                assert closing[k] == -np.inf and np.isnan(worst[k])
+            if 0 < n < u.shape[0]:  # no tie straddles the prefix end
+                assert rs[n] > rs[n - 1]
 
 
 @st.composite
@@ -701,6 +706,27 @@ def degenerate_neighborhoods(draw):
         ratios = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
     return build_neighborhood(x1 - x1[0], x2 - x2[0], ratios=ratios,
                               r2=draw(st.sampled_from([5.0, 50.0])))
+
+
+def record_calls(mp, name, log):
+    """Monkeypatch filtering.<name> to append (args, result) of each call to log."""
+    fn = getattr(filtering, name)
+
+    def recorded(*args):
+        log.append((args, fn(*args)))
+        return log[-1][1]
+
+    mp.setattr(filtering, name, recorded)
+
+
+def assert_within_spread(got, expect, b_abs, s_abs, s, terms):
+    """got and expect, two evaluations of A = B S^-1 whose entries of B and S
+    are sums of `terms` products (with sums of magnitudes b_abs and s_abs),
+    differ by no more than the first-order bound (|dB| + |A| |dS|) |S^-1| on
+    roundings of each sum and of the solve in different orders."""
+    err = 8 * (terms + 2) * np.finfo(np.float64).eps
+    bound = err * (b_abs + np.abs(expect) @ s_abs) @ np.abs(np.linalg.inv(s))
+    assert np.all(np.abs(got - expect) <= bound), (got, expect, bound)
 
 
 class TestVerifySeedProperties:
@@ -732,6 +758,57 @@ class TestVerifySeedProperties:
         u, v = nb.centered1, nb.centered2
         assert_same_verification(_verify(u, v, nb.seed.r2, params),
                                  verify_every_row(u, v, nb.seed.r2, params))
+
+    @PROPERTY
+    @given(degenerate_neighborhoods(), st.sampled_from(PARAM_SETS))
+    @example(build_neighborhood([[0, 0], [387298, 0], [0, 1], [387298, 1]],
+                                [[0, 0], [387298, 0], [0, 1], [387299, 1]]),
+             AdalamParams(t_n=2))
+    @example(build_neighborhood([[0, 0], [1224745, 0], [0, 1], [1224745, 1]],
+                                [[0, 0], [1224745, 0], [0, 1], [1224746, 1]]),
+             AdalamParams(t_n=2))
+    def test_kernel_fits_match_scalar_fits(self, nb, params):
+        """_verify's minimal models match fit_affine_minimal, and its refit
+        rows fit_affine_lsq on the same inlier mask, within the spread of
+        two roundings. On integer coordinates every sum is exact, and a row
+        is refit exactly when fit_affine_lsq finds a model. (In the examples
+        the scatter of all four members has det 5e-12 trace^2, just above
+        the rank test, where the refit moves A[0, 1] by 1/3, and 5e-13,
+        just below.)"""
+        u, v = nb.centered1, nb.centered2
+        # Below 1e-60, products underflow to subnormals, whose rounding the
+        # bound does not cover.
+        size = np.abs(np.r_[u.ravel(), v.ravel()])
+        assume(not np.any((size > 0) & (size < 1e-60)))
+        scored, refits = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            record_calls(mp, "_score_models", scored)
+            record_calls(mp, "_refit_models", refits)
+            _verify(u, v, nb.seed.r2, params)
+        p_idx, q_idx, _ = _prosac_pairs(u, params.iterations)
+        if p_idx.size == 0:
+            assert not scored and not refits
+            return
+        minimal = scored[0][0][0]
+        for k, (p, q) in enumerate(zip(p_idx, q_idx)):
+            expect = fit_affine_minimal(u[p], v[p], u[q], v[q]).as_matrix()
+            s, b = np.column_stack([u[p], u[q]]), np.column_stack([v[p], v[q]])
+            assert_within_spread(minimal[k], expect, np.abs(b), np.abs(s), s, 1)
+        if not params.use_refit:
+            assert not refits
+            return
+        ((a, _, _, mask, counts), refit), = refits
+        assert np.array_equal(mask.sum(axis=1), counts)
+        exact = np.array_equal(u, np.round(u)) and np.array_equal(v, np.round(v))
+        for k in range(a.shape[0]):
+            um, vm = u[mask[k]], v[mask[k]]
+            fit = fit_affine_lsq(um, vm) if counts[k] >= 2 else None
+            kept = refit[k].tobytes() == a[k].tobytes()
+            if fit is None:
+                assert kept or not exact
+            elif exact or not kept:  # a float scatter may sit on the rank test
+                assert_within_spread(refit[k], fit.as_matrix(), np.abs(vm).T @ np.abs(um),
+                                     np.abs(um).T @ np.abs(um), um.T @ um, counts[k])
 
 
 R1 = 5.0  # lattice points (0, 0) and (3, 4) are exactly r1 apart

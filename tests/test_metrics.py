@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adalam import exact_auc, hist_auc, map_at, match_prf
 
@@ -116,6 +120,32 @@ class TestHistAuc:
         # Both arguments are finite, but their ratio overflows to inf.
         with pytest.raises(ValueError, match=r"hist_auc: threshold / bin_width must be finite"):
             hist_auc([1.0], 1e308, 1e-308)
+
+
+@st.composite
+def hist_auc_inputs(draw):
+    """(errors, threshold, bin_width): errors on bin edges, between them,
+    beyond the threshold, zero and inf."""
+    bin_width = draw(st.sampled_from([0.01, 0.1, 0.3, 1.0, 2.5, 5.0]))
+    nbins = draw(st.integers(1, 60))
+    error = st.one_of(st.integers(0, 70).map(lambda k: bin_width * k),
+                      st.floats(0.0, 80 * bin_width), st.just(math.inf))
+    errors = draw(st.lists(error, min_size=1, max_size=60))
+    return errors, bin_width * nbins, bin_width
+
+
+class TestHistAucProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hist_auc_inputs())
+    def test_matches_recall_matrix(self, inputs):
+        # recall at each right bin edge from the (bins x errors) comparison
+        # matrix, averaged over the bins: the same bits as hist_auc.
+        errors, threshold, bin_width = inputs
+        e = np.asarray(errors)
+        nbins = int(round(threshold / bin_width))
+        edges = bin_width * np.arange(1, nbins + 1)
+        expect = float((e[None, :] <= edges[:, None]).mean(axis=1).mean())
+        assert hist_auc(errors, threshold, bin_width) == expect
 
 
 class TestMapAt:

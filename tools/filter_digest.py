@@ -11,14 +11,21 @@ inputs of 1 to 7 matches. Each run prints one line: the scene, the
 parameter set, the SHA-256 of `selected` (with its dtype) and the SHA-256
 of repr(seed_reports). Two trees filter identically on the matrix when
 their outputs diff empty.
+
+It then runs the matrix again with one seed per membership pass
+(filtering._GROUP = 1). A line that differs from the first pass means that
+the grouping of seeds changed an output: the line goes to stderr and the
+exit status is 1.
 """
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 
 from adalam import AdalamParams, ImageSize, KeypointSet, MatchSet, adalam_filter
+from adalam import filtering
 from adalam.synth import SynthConfig, generate_scene
 
 PARAM_SETS = (
@@ -91,14 +98,26 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def digest_lines():
+    """One line per (scene, parameter set) run of the matrix."""
     for name, (k1, k2, size, matches) in scenes():
         for pname, params in PARAM_SETS:
             result = adalam_filter(k1, k2, size, size, matches, params)
             sel = result.selected
-            print(name, pname, _sha(sel.dtype.str.encode() + sel.tobytes()),
-                  _sha(repr(result.seed_reports).encode()))
-    return 0
+            yield (f"{name} {pname} {_sha(sel.dtype.str.encode() + sel.tobytes())} "
+                   f"{_sha(repr(result.seed_reports).encode())}")
+
+
+def main() -> int:
+    lines = []
+    for line in digest_lines():
+        print(line)
+        lines.append(line)
+    filtering._GROUP = 1
+    seams = [line for line, alone in zip(lines, digest_lines()) if alone != line]
+    for line in seams:
+        print(f"differs with filtering._GROUP = 1: {line}", file=sys.stderr)
+    return 1 if seams else 0
 
 
 if __name__ == "__main__":
