@@ -125,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auc", default=None, help="comma-separated thresholds")
     p.add_argument("--hist-auc", default=None, help="comma-separated thresholds")
     p.add_argument("--map", default=None, help="comma-separated thresholds")
-    p.add_argument("--bin-width", type=float, default=5.0)
+    p.add_argument("--bin-width", type=float, default=None,
+                   help="bin width of --hist-auc (default 5)")
 
     p = sub.add_parser("bench", help="F1/wall-time sweep on synthetic scenes")
     p.set_defaults(run=_cmd_bench)
@@ -204,9 +205,12 @@ def _cmd_eval(args) -> int:
             raise ValueError("--errors needs a threshold in --auc, --hist-auc or --map")
         errors = read_errors(args.errors)
         out.extend(f"auc{t:g}={exact_auc(errors, t):.9g}" for t in auc)
-        out.extend(f"auc{t:g}*={hist_auc(errors, t, args.bin_width):.9g}" for t in hist)
+        width = 5.0 if args.bin_width is None else args.bin_width
+        out.extend(f"auc{t:g}*={hist_auc(errors, t, width):.9g}" for t in hist)
         out.extend(f"map{t:g}={map_at(errors, t):.9g}" for t in maps)
     elif args.selected and args.matches:
+        if any(x is not None for x in (args.auc, args.hist_auc, args.map, args.bin_width)):
+            raise ValueError("--selected takes none of --auc, --hist-auc, --map or --bin-width")
         matches, gt = read_matches(args.matches)
         if gt is None:
             raise ValueError("--matches file must carry a gt column")

@@ -7,8 +7,9 @@ each neighborhood with a deterministic fixed-budget RANSAC over centered
 uniform-outlier null model instead of a fixed pixel threshold.
 
 Spatial lookups use square grids over image-1 positions, in plain NumPy:
-cells just under r1 / sqrt(2) wide for the seed NMS, and just over lam * r1
-wide for the neighbourhood candidates, whose exact gates come after.
+cells just under r1 / sqrt(2) wide for the seed NMS, and just over
+lam * r1 / 2 wide for the neighbourhood candidates, whose exact gates come
+after. Either way the 5x5 block of cells around a match holds its disk.
 
 adalam_filter gates the candidates of consecutive seeds in groups of at most
 _GROUP (candidate, seed) pairs, one membership pass per group, so that peak
@@ -95,6 +96,12 @@ def _ranges(lo, lens):
     return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
+def _within(pos, a, b, r):
+    """Whether positions pos[b] lie within r of pos[a] (dx*dx + dy*dy <= r*r)."""
+    d = pos[b] - pos[a]
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
+
+
 def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     """Non-maximum suppression of matches by confidence over image-1 positions.
 
@@ -106,9 +113,12 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
 
     Matches are binned on a grid of cells just under r1 / sqrt(2) wide, so
     two matches in one cell are always within r1 and only each cell's best
-    match can survive. A cell best that beats the bests of its 5x5 block of
-    cells, which holds every match within r1 of it, survives; the others
-    are tested exactly against the better matches of that block.
+    match can survive. The 5x5 block of cells around a cell best holds every
+    match within r1 of it, and only the block's better cells, whose best
+    outranks it, can hold one that outranks it. Phase 1 tests each cell best
+    against the bests of its better cells, which needs no gather. Phase 2
+    tests the cell bests left standing against the other matches of their
+    better cells that outrank them: in rank order, a prefix of each cell.
     """
     if not 0 < r1 < math.inf:
         raise ValueError("select_seeds: r1 must be > 0")
@@ -123,8 +133,8 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     key, width = _grid_keys(pos, r1 * (1.0 - _GRID_SLACK) / math.sqrt(2.0), 2)
     order = by_rank[np.argsort(key[by_rank], kind="stable")]  # by cell, then rank
     skey = key[order]
-    start = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-    end = np.r_[start[1:], m]
+    first = np.r_[True, skey[1:] != skey[:-1]]
+    start = np.flatnonzero(first)
     cells = skey[start]
     best = order[start]
     best_rank = rank[best]
@@ -133,18 +143,19 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
                       if dx or dy])
     nbr = cells[:, None] + block
     at = np.minimum(np.searchsorted(cells, nbr), cells.shape[0] - 1)
-    better = (cells[at] == nbr) & (best_rank[at] < best_rank[:, None])
-    open_ = np.flatnonzero(better.any(axis=1))
-    # Gather every match of the better cells around each open cell best.
-    lo = np.where(better[open_], start[at[open_]], 0).ravel()
-    lens = np.where(better[open_], end[at[open_]], 0).ravel() - lo
-    owner = np.repeat(np.repeat(best[open_], block.shape[0]), lens)
-    other = order[_ranges(lo, lens)]
-    d = pos[other] - pos[owner]
-    hit = (rank[other] < rank[owner]) & (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r1 * r1)
-    suppressed = np.zeros(m, dtype=bool)
-    suppressed[owner[hit]] = True
-    return np.sort(best[~suppressed[best]])
+    cell, slot = np.nonzero((cells[at] == nbr) & (best_rank[at] < best_rank[:, None]))
+    other = at[cell, slot]  # each (cell, better cell) pair, by ordinal
+    suppressed = np.zeros(cells.shape[0], dtype=bool)  # phase 1
+    suppressed[cell[_within(pos, best[cell], best[other], r1)]] = True
+    # Phase 2. Keys ordinal * m + rank increase along `order` and stay below
+    # m**2; the matches of cell c that outrank rank r end before key c * m + r.
+    cell, other = cell[~suppressed[cell]], other[~suppressed[cell]]
+    lo = start[other] + 1
+    lens = np.searchsorted((np.cumsum(first) - 1) * m + rank[order],
+                           other * m + best_rank[cell]) - lo
+    owner = np.repeat(cell, lens)
+    suppressed[owner[_within(pos, best[owner], order[_ranges(lo, lens)], r1)]] = True
+    return np.sort(best[~suppressed])
 
 
 def _transform_arrays(matches: MatchSet, k1: KeypointSet, k2: KeypointSet):
@@ -483,8 +494,10 @@ def adalam_filter(
 
     Returns the sorted union of the inliers of all accepted seeds, plus one
     diagnostic record per seed. The result equals running select_seeds,
-    assemble_neighborhood and verify_seed on every seed in turn; like
-    select_seeds, it raises ValueError on positions spanning too many cells.
+    assemble_neighborhood and verify_seed on every seed in turn. Positions
+    spanning more than 2**31 cells on an axis raise ValueError, of the seed
+    grid as in select_seeds or of the neighbourhood grid, of side just over
+    lam * r1 / 2, which is the finer one for lam < sqrt(2).
     """
     if params is None:
         params = AdalamParams()
@@ -500,15 +513,15 @@ def adalam_filter(
     lam_r2 = params.lam * r2
     seeds = select_seeds(matches, k1, r1)
 
-    # Neighbourhood candidates: with cells just over lam * r1 wide, the 3x3
-    # block of cells around a seed's cell covers its lam * r1 disk, and each
-    # row of the block is one range of keys. _members applies the exact gates.
-    key, width = _grid_keys(arrays[0].T, lam_r1 * (1.0 + _GRID_SLACK), 1)
+    # Neighbourhood candidates: with cells just over lam * r1 / 2 wide, the
+    # 5x5 block of cells around a seed's cell covers its lam * r1 disk, and
+    # each row of the block is one range of keys. _members applies the exact gates.
+    key, width = _grid_keys(arrays[0].T, lam_r1 * (1.0 + _GRID_SLACK) / 2.0, 2)
     order = np.argsort(key)
     skey = key[order]
-    rows = key[seeds, None] + width * np.arange(-1, 2)
-    lo = np.searchsorted(skey, rows - 1, side="left")
-    lens = np.searchsorted(skey, rows + 1, side="right") - lo
+    rows = key[seeds, None] + width * np.arange(-2, 3)
+    lo = np.searchsorted(skey, rows - 2, side="left")
+    lens = np.searchsorted(skey, rows + 2, side="right") - lo
     per_seed = lens.sum(axis=1)
     # Cut the seeds into runs of consecutive seeds with at most _GROUP
     # candidates in all; a seed with more stands alone.

@@ -249,8 +249,9 @@ def test_members_at_lam_r1_are_kept():
 
 def test_member_on_the_radius_from_a_cell_edge():
     """A seed at the far edge of its grid cell, with a member exactly
-    lam * r1 away: the member lies one cell over, not two, so adalam_filter
-    still finds it. The first match fixes the grid origin at 0."""
+    lam * r1 away: cells are just over lam * r1 / 2 wide, so the member lies
+    two cells over, not three, and adalam_filter still finds it. The first
+    match fixes the grid origin at 0."""
     params = AdalamParams(t_n=2)
     r1 = compute_radius(SIZE, params.area_ratio)
     lam_r1 = params.lam * r1
@@ -267,6 +268,28 @@ def test_member_on_the_radius_from_a_cell_edge():
     nb = assemble_neighborhood(Seed(1, r1, r1), matches, k, k, params)
     assert 2 in nb.members
     assert_filter_equals_replay(k, k, matches, params)
+
+
+@pytest.mark.parametrize("over", [False, True], ids=["under", "over"])
+def test_span_at_the_limit_of_the_neighbourhood_grid(over):
+    """At lam = 1 the neighbourhood grid's cells, just over r1 / 2 wide, are
+    finer than the seed grid's, so its 2**31-cell limit binds: a span just
+    under it filters as the replay does, one just over it raises."""
+    params = AdalamParams(lam=1.0, t_n=2)
+    sc = scene(seed=15)
+    r1 = compute_radius(SIZE, params.area_ratio)
+    side = params.lam * r1 * (1.0 + filtering._GRID_SLACK) / 2.0
+    far = int(np.argmax(sc.matches.ratio))
+    lo = sc.k1.xy[np.delete(sc.matches.idx1, far), 0].min()
+    xy = sc.k1.xy.copy()
+    xy[sc.matches.idx1[far], 0] = lo + filtering._GRID_MAX_CELLS * side * (1.0 + (1e-9 if over else -1e-9))
+    k1 = KeypointSet(xy, sc.k1.sigma, sc.k1.alpha, sc.k1.desc)
+    assert far in select_seeds(sc.matches, k1, r1)  # the seed grid takes the span
+    if over:
+        with pytest.raises(ValueError, match="positions span"):
+            adalam_filter(k1, sc.k2, SIZE, SIZE, sc.matches, params)
+    else:
+        assert_filter_equals_replay(k1, sc.k2, sc.matches, params)
 
 
 MEMBERSHIP_SIZE = ImageSize(100, 100)  # r1 about 5.6: a candidate cell holds several seeds

@@ -145,7 +145,7 @@ CLI_SURFACE = {
         "--auc": (None, "comma-separated thresholds"),
         "--hist-auc": (None, "comma-separated thresholds"),
         "--map": (None, "comma-separated thresholds"),
-        "--bin-width": (5.0, None),
+        "--bin-width": (None, "bin width of --hist-auc (default 5)"),
     },
     "bench": {
         "--scenes": (5, None), "--rng-seed": (0, None), "--patches": (5, None),
@@ -507,6 +507,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert stderr == "adalam eval: --errors takes neither --selected nor --matches\n"
+
+    @pytest.mark.parametrize("flags", [["--auc", "5"], ["--hist-auc", "5"], ["--map", "10"],
+                                       ["--bin-width", "5"], ["--auc", ""]],
+                             ids=["auc", "hist-auc", "map", "bin-width", "auc-empty"])
+    def test_eval_selected_refuses_thresholds(self, tmp_path, capsys, flags):
+        mt = tmp_path / "mt.txt"
+        mt.write_text("ADALAM-MT 1 1 1\n0 0 0.5 0.5 1\n")
+        code, out, stderr = run(["eval", "--selected", str(mt), "--matches", str(mt)] + flags,
+                                capsys)
+        assert code == 2
+        assert out == ""
+        assert stderr == ("adalam eval: --selected takes none of --auc, --hist-auc, "
+                          "--map or --bin-width\n")
 
     def test_eval_gt_column_required(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"

@@ -162,6 +162,23 @@ class TestSelectSeeds:
         xy = np.array([[0.0, 0.0], [a, a]])
         assert list(select_seeds(make_matchset(xy, [0.3, 0.7]), kps_at(xy), 56.4)) == [0, 1]
 
+    def test_keys_of_2_30_cells_match_brute_force_oracle(self):
+        # Up to 2**30 cells per axis put grid keys near 2**60, where key * m
+        # would wrap; the phase-2 prefix key, cell ordinal * m + rank, stays
+        # below m**2. In each cluster the best is 70 px from the last and a
+        # runner-up 40 px, 30 px from the best; at one of the four shifts the
+        # two share a cell, so the last is only suppressed in phase 2.
+        far = 2.0**30 * 56.4 / math.sqrt(2.0)
+        xy = [[0.0, 0.0]]
+        for x in (far / 4, far / 2, 3 * far / 4, far):
+            for k, shift in enumerate([0.0, 10.0, 20.0, 30.0]):
+                xy += [[x + shift + dx, x + 1000.0 * k] for dx in (0.0, 30.0, 70.0)]
+        xy = np.array(xy)
+        ratios = [0.5] + [0.1, 0.2, 0.3] * 16
+        got = select_seeds(make_matchset(xy, ratios), kps_at(xy), 56.4)
+        assert np.array_equal(got, nms_oracle(xy, ratios, 56.4))
+        assert got.tolist() == [0] + list(range(1, 49, 3))
+
     def test_one_huge_position_is_a_seed(self):
         xy = [[1e300, -1e300], [1e300, -1e300]]
         assert list(select_seeds(make_matchset(np.array(xy)), kps_at(xy), 56.4)) == [0]
