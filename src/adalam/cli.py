@@ -203,6 +203,8 @@ def _cmd_eval(args) -> int:
         auc, hist, maps = (_parse_thresholds(x) for x in (args.auc, args.hist_auc, args.map))
         if not (auc or hist or maps):
             raise ValueError("--errors needs a threshold in --auc, --hist-auc or --map")
+        if args.bin_width is not None and not hist:
+            raise ValueError("--bin-width needs a threshold in --hist-auc")
         errors = read_errors(args.errors)
         out.extend(f"auc{t:g}={exact_auc(errors, t):.9g}" for t in auc)
         width = 5.0 if args.bin_width is None else args.bin_width

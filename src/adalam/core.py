@@ -44,6 +44,20 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def _set_integers(obj, *names):
+    """Store the named fields of a frozen dataclass as ints. A value that is
+    not integral, inf and NaN included, raises a ValueError naming its field."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            integral = value == int(value)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"{type(obj).__name__}: {name} must be an integer")
+        object.__setattr__(obj, name, int(value))
+
+
 def _as_float_array(x, name, ndim):
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != ndim:
@@ -59,11 +73,7 @@ class ImageSize:
     height: int
 
     def __post_init__(self):
-        w, h = self.width, self.height
-        if w != int(w) or h != int(h):
-            raise ValueError("ImageSize: width and height must be integers")
-        object.__setattr__(self, "width", int(w))
-        object.__setattr__(self, "height", int(h))
+        _set_integers(self, "width", "height")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("ImageSize: width and height must be positive")
 
@@ -191,6 +201,7 @@ class AdalamParams:
     eps_residual: float = 1e-6
 
     def __post_init__(self):
+        _set_integers(self, "iterations", "t_n")
         # Each check is written so that NaN fails it.
         if not 0 < self.area_ratio < math.inf:
             raise ValueError("AdalamParams: area_ratio must be > 0")

@@ -7,9 +7,9 @@ each neighborhood with a deterministic fixed-budget RANSAC over centered
 uniform-outlier null model instead of a fixed pixel threshold.
 
 Spatial lookups use square grids over image-1 positions, in plain NumPy:
-cells just under r1 / sqrt(2) wide for the seed NMS, and just over
-lam * r1 / 2 wide for the neighbourhood candidates, whose exact gates come
-after. Either way the 5x5 block of cells around a match holds its disk.
+cells just under r1 / sqrt(2) wide for the seed NMS and, for neighbourhood
+candidates whose exact gates come after, the wider of those and cells just
+over lam * r1 / 2. Either way the 5x5 block around a match holds its disk.
 
 adalam_filter gates the candidates of consecutive seeds in groups of at most
 _GROUP (candidate, seed) pairs, one membership pass per group, so that peak
@@ -69,26 +69,34 @@ def compute_radius(size: ImageSize, area_ratio: float) -> float:
     return math.sqrt(size.area / (math.pi * area_ratio))
 
 
-def _grid_keys(pos, side, pad):
-    """Cell keys of positions (m, 2) on a square grid of cells of this side.
+def _grid_keys(pos, side):
+    """Cell keys of positions (2, m) on a square grid of cells of this side.
 
-    The key of cell (cx, cy) is cx * width + cy + pad, so the cell dx, dy
-    away has key + dx * width + dy for |dx|, |dy| <= pad. Returns (keys,
+    The key of cell (cx, cy) is cx * width + cy + 2, so the cell dx, dy
+    away has key + dx * width + dy for |dx|, |dy| <= 2. Returns (keys,
     width). Positions spanning more than _GRID_MAX_CELLS cells on an axis
     raise ValueError: beyond that, keys could overflow int64 and rounding
     of the cell coordinates could reach the cells' _GRID_SLACK margin.
     """
-    lo = pos.min(axis=0)
+    lo = pos.min(axis=1)
     with np.errstate(all="ignore"):  # an infinite or NaN cell count is refused below
-        span = pos.max(axis=0) - lo
+        span = pos.max(axis=1) - lo
         if not np.all(span / side < _GRID_MAX_CELLS):
             raise ValueError(
                 f"keypoint positions span {span[0]:g} x {span[1]:g} px, more than "
                 f"{_GRID_MAX_CELLS} grid cells of side {side:g} px"
             )
-    cell = np.floor((pos - lo) / side).astype(np.int64)
-    width = int(cell[:, 1].max()) + 1 + 2 * pad
-    return cell[:, 0] * width + (cell[:, 1] + pad), width
+    cell = np.floor((pos - lo[:, None]) / side).astype(np.int64)
+    width = int(cell[1].max()) + 5
+    return cell[0] * width + (cell[1] + 2), width
+
+
+def _block(skey, keys, width):
+    """Index ranges into the sorted grid keys skey of the 5x5 block of cells
+    around each of keys: (lo, lens), each (n, 5), one range per block row."""
+    rows = keys[:, None] + width * np.arange(-2, 3)
+    lo = np.searchsorted(skey, rows - 2, side="left")
+    return lo, np.searchsorted(skey, rows + 2, side="right") - lo
 
 
 def _ranges(lo, lens):
@@ -97,9 +105,10 @@ def _ranges(lo, lens):
 
 
 def _within(pos, a, b, r):
-    """Whether positions pos[b] lie within r of pos[a] (dx*dx + dy*dy <= r*r)."""
-    d = pos[b] - pos[a]
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
+    """Whether positions pos[:, b] lie within r of pos[:, a]: dx*dx + dy*dy <= r*r."""
+    d = np.take(pos, b, axis=1) - np.take(pos, a, axis=1)
+    d *= d
+    return d[0] + d[1] <= r * r
 
 
 def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
@@ -125,12 +134,12 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     m = len(matches)
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    pos = k1.xy[matches.idx1]
+    pos = np.ascontiguousarray(k1.xy[matches.idx1].T)
     # rank 0 is the most confident match; equal confidences rank by index.
     by_rank = np.argsort(-(1.0 - matches.ratio), kind="stable")
     rank = np.empty(m, dtype=np.int64)
     rank[by_rank] = np.arange(m)
-    key, width = _grid_keys(pos, r1 * (1.0 - _GRID_SLACK) / math.sqrt(2.0), 2)
+    key, width = _grid_keys(pos, r1 * (1.0 - _GRID_SLACK) / math.sqrt(2.0))
     order = by_rank[np.argsort(key[by_rank], kind="stable")]  # by cell, then rank
     skey = key[order]
     first = np.r_[True, skey[1:] != skey[:-1]]
@@ -139,12 +148,11 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     best = order[start]
     best_rank = rank[best]
 
-    block = np.array([dx * width + dy for dx in range(-2, 3) for dy in range(-2, 3)
-                      if dx or dy])
-    nbr = cells[:, None] + block
-    at = np.minimum(np.searchsorted(cells, nbr), cells.shape[0] - 1)
-    cell, slot = np.nonzero((cells[at] == nbr) & (best_rank[at] < best_rank[:, None]))
-    other = at[cell, slot]  # each (cell, better cell) pair, by ordinal
+    lo, lens = _block(cells, cells, width)
+    cell = np.repeat(np.arange(cells.shape[0]), lens.sum(axis=1))
+    other = _ranges(lo.ravel(), lens.ravel())
+    better = best_rank[other] < best_rank[cell]
+    cell, other = cell[better], other[better]  # each (cell, better cell) pair, by ordinal
     suppressed = np.zeros(cells.shape[0], dtype=bool)  # phase 1
     suppressed[cell[_within(pos, best[cell], best[other], r1)]] = True
     # Phase 2. Keys ordinal * m + rank increase along `order` and stay below
@@ -182,13 +190,9 @@ def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
     """
     x1, x2, alpha_t, logsig_t = arrays
     si = seeds[owner]
-    d = np.take(x1, cand, axis=1) - np.take(x1, si, axis=1)
-    d *= d
-    near = d[0] + d[1] <= lam_r1 * lam_r1
+    near = _within(x1, si, cand, lam_r1)
     cand, owner, si = cand[near], owner[near], si[near]
-    d = np.take(x2, cand, axis=1) - np.take(x2, si, axis=1)
-    d *= d
-    ok = d[0] + d[1] <= lam_r2 * lam_r2
+    ok = _within(x2, si, cand, lam_r2)
     if params.use_side_info:
         da = np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand]))
         ds = np.abs(logsig_t[si] - logsig_t[cand])
@@ -495,9 +499,8 @@ def adalam_filter(
     Returns the sorted union of the inliers of all accepted seeds, plus one
     diagnostic record per seed. The result equals running select_seeds,
     assemble_neighborhood and verify_seed on every seed in turn. Positions
-    spanning more than 2**31 cells on an axis raise ValueError, of the seed
-    grid as in select_seeds or of the neighbourhood grid, of side just over
-    lam * r1 / 2, which is the finer one for lam < sqrt(2).
+    spanning more than 2**31 cells of side r1 / sqrt(2) on an axis raise
+    ValueError, as in select_seeds.
     """
     if params is None:
         params = AdalamParams()
@@ -513,29 +516,24 @@ def adalam_filter(
     lam_r2 = params.lam * r2
     seeds = select_seeds(matches, k1, r1)
 
-    # Neighbourhood candidates: with cells just over lam * r1 / 2 wide, the
-    # 5x5 block of cells around a seed's cell covers its lam * r1 disk, and
-    # each row of the block is one range of keys. _members applies the exact gates.
-    key, width = _grid_keys(arrays[0].T, lam_r1 * (1.0 + _GRID_SLACK) / 2.0, 2)
+    # Neighbourhood candidates: with cells at least lam * r1 / 2 wide, the 5x5 block
+    # around a seed's cell covers its lam * r1 disk; _members applies the exact
+    # gates. No finer than the seed grid, this grid adds no span limit of its own.
+    side = max(lam_r1 * (1.0 + _GRID_SLACK) / 2.0, r1 * (1.0 - _GRID_SLACK) / math.sqrt(2.0))
+    key, width = _grid_keys(arrays[0], side)
     order = np.argsort(key)
-    skey = key[order]
-    rows = key[seeds, None] + width * np.arange(-2, 3)
-    lo = np.searchsorted(skey, rows - 2, side="left")
-    lens = np.searchsorted(skey, rows + 2, side="right") - lo
+    lo, lens = _block(key[order], key[seeds], width)
     per_seed = lens.sum(axis=1)
-    # Cut the seeds into runs of consecutive seeds with at most _GROUP
-    # candidates in all; a seed with more stands alone.
-    cuts, total = [0], 0
-    for j, n in enumerate(per_seed.tolist()):
-        if total + n > _GROUP and j > cuts[-1]:
-            cuts.append(j)
-            total = 0
-        total += n
-    cuts.append(seeds.shape[0])
+    ends = np.cumsum(per_seed)
 
     reports = []
     kept = [np.zeros(0, dtype=np.int64)]
-    for g0, g1 in zip(cuts[:-1], cuts[1:]):
+    g0 = 0
+    while g0 < seeds.shape[0]:
+        # The run of consecutive seeds from g0 with at most _GROUP candidates
+        # in all; a seed with more stands alone.
+        g1 = max(g0 + 1, int(np.searchsorted(ends, ends[g0] - per_seed[g0] + _GROUP,
+                                             side="right")))
         at = _ranges(lo[g0:g1].ravel(), lens[g0:g1].ravel())
         owner = np.repeat(np.arange(g1 - g0), per_seed[g0:g1])
         members, bounds, u, v = _members(order[at], owner, seeds[g0:g1], arrays,
@@ -547,4 +545,5 @@ def adalam_filter(
             reports.append(SeedReport(si, best, count, inliers is not None))
             if inliers is not None:
                 kept.append(members[b0:b1][inliers])
+        g0 = g1
     return FilterResult(selected=_sorted_unique(np.concatenate(kept)), seed_reports=reports)

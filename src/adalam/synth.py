@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AdalamParams, ImageSize, KeypointSet, MatchSet, wrap_angle
+from .core import AdalamParams, ImageSize, KeypointSet, MatchSet, _set_integers, wrap_angle
 from .filtering import compute_radius
 
 _CENTER_SEPARATION = 2.2   # between patch centres in image 1, in seed radii
@@ -34,6 +34,8 @@ class SynthConfig:
     patch_rotation: Optional[float] = None   # fix every patch rotation angle
 
     def __post_init__(self):
+        _set_integers(self, "n_patches", "keypoints_per_patch", "n_outliers",
+                      "descriptor_dim", "rng_seed")
         if self.n_patches < 0 or self.keypoints_per_patch < 0 or self.n_outliers < 0:
             raise ValueError("SynthConfig: counts must be >= 0")
         if self.n_patches * self.keypoints_per_patch + self.n_outliers <= 0:

@@ -272,23 +272,30 @@ def test_member_on_the_radius_from_a_cell_edge():
 
 @pytest.mark.parametrize("over", [False, True], ids=["under", "over"])
 def test_span_at_the_limit_of_the_neighbourhood_grid(over):
-    """At lam = 1 the neighbourhood grid's cells, just over r1 / 2 wide, are
-    finer than the seed grid's, so its 2**31-cell limit binds: a span just
-    under it filters as the replay does, one just over it raises."""
+    """At lam = 1 the neighbourhood grid takes the seed grid's cells, just
+    under r1 / sqrt(2) wide, not finer ones just over r1 / 2, so select_seeds'
+    2**31-cell limit is adalam_filter's only one: a span past 2**31 of the
+    finer cells but under the limit filters as the replay does, and a span
+    just over the limit raises select_seeds' error."""
     params = AdalamParams(lam=1.0, t_n=2)
     sc = scene(seed=15)
     r1 = compute_radius(SIZE, params.area_ratio)
-    side = params.lam * r1 * (1.0 + filtering._GRID_SLACK) / 2.0
+    fine = params.lam * r1 * (1.0 + filtering._GRID_SLACK) / 2.0
+    seed_side = r1 * (1.0 - filtering._GRID_SLACK) / np.sqrt(2.0)
     far = int(np.argmax(sc.matches.ratio))
     lo = sc.k1.xy[np.delete(sc.matches.idx1, far), 0].min()
+    span = filtering._GRID_MAX_CELLS * (seed_side * (1.0 + 1e-9) if over else 1.2 * fine)
     xy = sc.k1.xy.copy()
-    xy[sc.matches.idx1[far], 0] = lo + filtering._GRID_MAX_CELLS * side * (1.0 + (1e-9 if over else -1e-9))
+    xy[sc.matches.idx1[far], 0] = lo + span
     k1 = KeypointSet(xy, sc.k1.sigma, sc.k1.alpha, sc.k1.desc)
-    assert far in select_seeds(sc.matches, k1, r1)  # the seed grid takes the span
     if over:
-        with pytest.raises(ValueError, match="positions span"):
+        with pytest.raises(ValueError, match="positions span") as seeds_error:
+            select_seeds(sc.matches, k1, r1)
+        with pytest.raises(ValueError) as filter_error:
             adalam_filter(k1, sc.k2, SIZE, SIZE, sc.matches, params)
+        assert str(filter_error.value) == str(seeds_error.value)
     else:
+        assert far in select_seeds(sc.matches, k1, r1)
         assert_filter_equals_replay(k1, sc.k2, sc.matches, params)
 
 
@@ -361,3 +368,73 @@ def test_grouped_membership_equals_assemble_neighborhood(scene, group, params):
             assert members[part].tobytes() == nb.members.tobytes()
             assert np.ascontiguousarray(c1[part]).tobytes() == nb.centered1.tobytes()
             assert np.ascontiguousarray(c2[part]).tobytes() == nb.centered2.tobytes()
+
+
+@st.composite
+def adversarial_scenes(draw):
+    """Up to 40 matches in one layout: all at one point, on one line (exact
+    on integer steps, or rounded), each alone in its neighbourhood, or with
+    one match just under or just over 2**31 seed-grid cells from the rest.
+    Ratios are all equal or drawn from 11 values; orientations and scales
+    come from small sets. Image 2 is image 1 shifted, frames included, or
+    drawn apart. Returns (k1, k2, matches, refused): refused when the span
+    is over."""
+    layout = draw(st.sampled_from(["one-point", "collinear", "isolated", "under", "over"]))
+    n = draw(st.integers(2 if layout in ("under", "over") else 1, 40))
+    coord = st.integers(0, 50).map(lambda k: 4.0 * k)
+    xy1 = draw(hnp.arrays(np.float64, (n, 2), elements=coord))
+    if layout == "one-point":
+        xy1[:] = xy1[0]
+    elif layout == "collinear":
+        steps = draw(hnp.arrays(np.float64, n, elements=st.integers(0, 300)))
+        if draw(st.booleans()):
+            direction = np.array([draw(st.integers(-3, 3)), draw(st.integers(-3, 3))], float)
+        else:
+            theta = draw(st.floats(-np.pi, np.pi))
+            direction = 1.7 * np.array([np.cos(theta), np.sin(theta)])
+        xy1 = xy1[0] + steps[:, None] * direction
+    elif layout == "isolated":
+        xy1[:, 0] = 300.0 * np.arange(n)  # 300 > lam * r1 for every lam drawn
+    else:
+        r1 = compute_radius(SIZE, AdalamParams().area_ratio)
+        side = r1 * (1.0 - filtering._GRID_SLACK) / np.sqrt(2.0)
+        far = draw(st.integers(0, n - 1))
+        lo = np.delete(xy1[:, 0], far).min()
+        margin = 1e-9 if layout == "over" else -1e-9
+        xy1[far, 0] = lo + filtering._GRID_MAX_CELLS * side * (1.0 + margin)
+
+    def frames():  # scales and orientations
+        return [draw(hnp.arrays(np.float64, n, elements=st.sampled_from(values)))
+                for values in ([1.0, 2.0, 8.0], [0.0, 0.3, 1.0])]
+
+    sigma_alpha = frames()
+    k1 = KeypointSet(xy1, *sigma_alpha, np.zeros((n, 2)))
+    if draw(st.booleans()):
+        k2 = KeypointSet(xy1 + 3.0, *sigma_alpha, np.zeros((n, 2)))
+    else:
+        xy2 = draw(hnp.arrays(np.float64, (n, 2), elements=coord))
+        k2 = KeypointSet(xy2, *frames(), np.zeros((n, 2)))
+    if draw(st.booleans()):
+        ratio = np.full(n, 0.5)
+    else:
+        ratio = draw(hnp.arrays(np.float64, n, elements=st.integers(0, 10).map(lambda k: k / 10)))
+    return k1, k2, MatchSet(np.arange(n), np.arange(n), np.zeros(n), ratio), layout == "over"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(adversarial_scenes(), st.sampled_from([1.0, 1.2, 4.0]), st.booleans())
+def test_adversarial_scenes_filter_as_the_replay(scene, lam, use_side_info):
+    """adalam_filter equals the replay through the public stages on
+    degenerate layouts at lam 1, 1.2 and 4, and the one error it raises is
+    select_seeds' ValueError for a span over the seed grid's limit."""
+    k1, k2, matches, refused = scene
+    params = AdalamParams(lam=lam, t_n=2, use_side_info=use_side_info)
+    if refused:
+        r1 = compute_radius(SIZE, params.area_ratio)
+        with pytest.raises(ValueError, match="positions span") as seeds_error:
+            select_seeds(matches, k1, r1)
+        with pytest.raises(ValueError) as filter_error:
+            adalam_filter(k1, k2, SIZE, SIZE, matches, params)
+        assert str(filter_error.value) == str(seeds_error.value)
+    else:
+        assert_filter_equals_replay(k1, k2, matches, params)

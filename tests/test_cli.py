@@ -495,6 +495,17 @@ class TestExitCodes:
         assert stderr == ("adalam eval: --errors needs a threshold in --auc, "
                           "--hist-auc or --map\n")
 
+    @pytest.mark.parametrize("flags", [["--auc", "5"], ["--map", "10", "--hist-auc", ","]],
+                             ids=["auc", "map"])
+    def test_eval_errors_bin_width_without_hist_auc(self, tmp_path, capsys, flags):
+        err = tmp_path / "err.txt"
+        err.write_text("1\ninf\n")
+        code, out, stderr = run(["eval", "--errors", str(err), "--bin-width", "2"] + flags,
+                                capsys)
+        assert code == 2
+        assert out == ""
+        assert stderr == "adalam eval: --bin-width needs a threshold in --hist-auc\n"
+
     @pytest.mark.parametrize("flag", ["--selected", "--matches"])
     @pytest.mark.parametrize("exists", [True, False], ids=["file", "no-file"])
     def test_eval_errors_refuses_match_files(self, tmp_path, capsys, flag, exists):

@@ -71,7 +71,7 @@ class TestImageSize:
         s = ImageSize(640, 480)
         assert s.area == 640 * 480
 
-    @pytest.mark.parametrize("w,h", [(0, 10), (10, 0), (-3, 5)])
+    @pytest.mark.parametrize("w,h", [(0, 10), (10, 0), (-3, 5), (math.inf, 10), (10, math.nan)])
     def test_invalid(self, w, h):
         with pytest.raises(ValueError):
             ImageSize(w, h)
@@ -187,11 +187,24 @@ class TestAdalamParams:
             {"fixed_threshold": math.nan},
             {"eps_residual": math.nan},
             {"area_ratio": math.inf},
+            {"iterations": 2.5},
+            {"iterations": math.inf},
+            {"iterations": math.nan},
+            {"t_n": 2.5},
+            {"t_n": math.inf},
+            {"t_n": math.nan},
         ],
     )
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             AdalamParams(**kw)
+
+    @pytest.mark.parametrize("name", ["iterations", "t_n"])
+    def test_integer_settings(self, name):
+        with pytest.raises(ValueError, match=f"AdalamParams: {name} must be an integer"):
+            AdalamParams(**{name: 7.5})
+        for value in (7, np.int64(7), 7.0):
+            assert type(getattr(AdalamParams(**{name: value}), name)) is int
 
 
 class TestGeometryTypes:

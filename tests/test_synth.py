@@ -132,11 +132,23 @@ class TestGenerateScene:
             {"noise_sigma": math.inf},
             {"patch_rotation": math.nan},
             {"patch_rotation": math.inf},
+            {"n_patches": 2.5},
+            {"keypoints_per_patch": 1.5},
+            {"n_outliers": math.inf},
+            {"descriptor_dim": math.nan},
+            {"rng_seed": 0.5},
         ],
     )
     def test_invalid_config(self, kw):
         with pytest.raises(ValueError):
             config(**kw)
+
+    @pytest.mark.parametrize("name", ["n_patches", "keypoints_per_patch", "n_outliers",
+                                      "descriptor_dim", "rng_seed"])
+    def test_integer_fields(self, name):
+        with pytest.raises(ValueError, match=f"SynthConfig: {name} must be an integer"):
+            config(**{name: 2.5})
+        assert type(getattr(config(**{name: np.int64(3)}), name)) is int
 
 
 def drawn(sc, k):

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 tools/filter_digest.py > digest.txt
 
-The matrix is 35 scenes, each run with 6 parameter sets (210 runs):
+The matrix is 35 scenes, each run with 8 parameter sets (280 runs):
 4 filter-dense-shaped scenes, 10 mixed ones (640x480 to 1240x930, noise
 0 to 2, some not frame-consistent), 10 tie-heavy ones (positions
 quantised to 1, 4 or 16 px, 30% of positions duplicated, all-equal or
@@ -35,6 +35,8 @@ PARAM_SETS = (
     ("fixed-5", AdalamParams(fixed_threshold=5.0)),
     ("t_n-2", AdalamParams(t_n=2)),
     ("iterations-7", AdalamParams(iterations=7)),
+    ("lam-1", AdalamParams(lam=1.0, t_n=2)),
+    ("lam-1.2-no-side", AdalamParams(lam=1.2, use_side_info=False)),
 )
 
 
