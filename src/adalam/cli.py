@@ -1,20 +1,22 @@
 """Command-line pipeline: synth -> match -> filter -> eval, plus bench.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-standard error; data goes to files or standard output only. Each flag
-that sets an AdalamParams or SynthConfig field stores its value under
-that field's name.
+Exit codes: 0 success, 1 usage error, 2 data error. A command whose output
+flag names the file of an input flag or of another output flag exits with 2
+before it reads anything. Diagnostics go to standard error; data goes to
+files or standard output only. Each flag that sets an AdalamParams or
+SynthConfig field stores its value under that field's name.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 
 import numpy as np
 
-from .core import AdalamParams, ImageSize, MatchSet
+from .core import AdalamParams, ImageSize, MatchSet, _check_match_range
 from .fileio import (
     ParseError,
     _atomic_write,
@@ -82,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled scene")
-    p.set_defaults(run=_cmd_synth)
+    p.set_defaults(run=_cmd_synth, inputs=(),
+                   outputs=("out_keypoints1", "out_keypoints2", "out_matches"))
     p.add_argument("--width1", type=int, default=1000)
     p.add_argument("--height1", type=int, default=1000)
     p.add_argument("--width2", type=int, default=1000)
@@ -98,13 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-matches", required=True)
 
     p = sub.add_parser("match", help="brute-force nearest-neighbor matching")
-    p.set_defaults(run=_cmd_match)
+    p.set_defaults(run=_cmd_match, inputs=("keypoints1", "keypoints2"), outputs=("out",))
     p.add_argument("--keypoints1", required=True)
     p.add_argument("--keypoints2", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("filter", help="filter a match file")
-    p.set_defaults(run=_cmd_filter)
+    p.set_defaults(run=_cmd_filter, inputs=("keypoints1", "keypoints2", "matches"),
+                   outputs=("out", "report"))
     p.add_argument("--keypoints1", required=True)
     p.add_argument("--keypoints2", required=True)
     p.add_argument("--matches", required=True)
@@ -118,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_adalam_flags(p)
 
     p = sub.add_parser("eval", help="score matches or pose-error lists")
-    p.set_defaults(run=_cmd_eval)
+    p.set_defaults(run=_cmd_eval, inputs=("selected", "matches", "errors"), outputs=())
     p.add_argument("--selected", help="filtered match file")
     p.add_argument("--matches", help="match file with ground-truth column")
     p.add_argument("--errors", help="pose-error list, one value per line")
@@ -129,12 +133,27 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bin width of --hist-auc (default 5)")
 
     p = sub.add_parser("bench", help="F1/wall-time sweep on synthetic scenes")
-    p.set_defaults(run=_cmd_bench)
+    p.set_defaults(run=_cmd_bench, inputs=(), outputs=())
     p.add_argument("--scenes", type=int, default=5)
     _add_scene_flags(p, noise_sigma=0.5)
     p.add_argument("--lam-threshold", type=float, default=1.0,
                    help="fixed residual threshold for the LAM variant")
     return parser
+
+
+def _check_paths(args):
+    """Refuse an output flag that names the same file as an input flag or an
+    earlier output flag of the command, before any file is read or written."""
+    def flag(name):
+        return "--" + name.replace("_", "-")
+
+    real = {name: os.path.realpath(getattr(args, name))
+            for name in args.inputs + args.outputs if getattr(args, name) is not None}
+    for i, out in enumerate(args.outputs):
+        for other in args.inputs + args.outputs[:i]:
+            if out in real and real.get(other) == real[out]:
+                raise ValueError(f"{flag(other)} and {flag(out)} name the same file "
+                                 f"{getattr(args, out)}")
 
 
 def _cmd_synth(args) -> int:
@@ -172,6 +191,7 @@ def _cmd_filter(args) -> int:
     size1, k1 = read_keypoints(args.keypoints1)
     size2, k2 = read_keypoints(args.keypoints2)
     matches, gt = read_matches(args.matches)
+    _check_match_range(args.matches, matches, k1, k2)
     if args.method == "ratio":
         sel = _rows_of(matches, ratio_test_filter(matches, args.ratio_threshold))
     elif args.method == "mutual":
@@ -267,6 +287,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_paths(args)
         return args.run(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"adalam {args.command}: {exc}", file=sys.stderr)

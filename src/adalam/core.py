@@ -44,6 +44,14 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def _check_match_range(name, matches, k1, k2=None):
+    """Raise a ValueError that starts with name unless every idx1 of matches
+    indexes k1 and, when k2 is given, every idx2 indexes k2."""
+    if np.any(matches.idx1 >= len(k1)) or (
+            k2 is not None and np.any(matches.idx2 >= len(k2))):
+        raise ValueError(f"{name}: match indices out of keypoint range")
+
+
 def _set_integers(obj, *names):
     """Store the named fields of a frozen dataclass as ints. A value that is
     not integral, inf and NaN included, raises a ValueError naming its field."""
@@ -186,6 +194,9 @@ class AdalamParams:
     fixed_threshold, when set, replaces the adaptive confidence test by a
     fixed residual radius in pixels (the plain locally-affine baseline).
     t_sigma thresholds the absolute log of the scale-transform ratio.
+    t_c and eps_residual must be finite. t_alpha, t_sigma and
+    fixed_threshold may be infinite: t_alpha or t_sigma then switches its
+    gate off, and fixed_threshold keeps every member.
     """
 
     area_ratio: float = 100.0
@@ -208,6 +219,9 @@ class AdalamParams:
         for name in ("t_alpha", "t_sigma", "t_c", "eps_residual"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"AdalamParams: {name} must be > 0")
+        for name in ("t_c", "eps_residual"):
+            if not getattr(self, name) < math.inf:
+                raise ValueError(f"AdalamParams: {name} must be finite")
         if not self.lam >= 1:
             raise ValueError("AdalamParams: lam must be >= 1")
         if not self.iterations >= 1:

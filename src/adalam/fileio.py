@@ -5,7 +5,8 @@ record per line, floats written with 9 significant digits. Keypoint rows
 are `x y sigma alpha d0 ... d{dim-1}`; match rows are
 `idx1 idx2 dist ratio [gt]`. Angles are written as given: a KeypointSet
 already holds them in (-pi, pi].
-Files are written atomically: no partial output remains on failure.
+Files are written atomically: no partial output remains on failure, and
+a write error names the file asked for.
 Keypoint files are formatted and written 1024 rows at a time, so the
 writer's working memory does not grow with the row count.
 
@@ -15,6 +16,7 @@ values the containers refuse, such as a sigma of 0, are reported at line 1.
 """
 from __future__ import annotations
 
+import errno
 import math
 import os
 import tempfile
@@ -41,21 +43,31 @@ class ParseError(ValueError):
 
 
 def _atomic_write(path, pieces: Iterable[str]):
-    """Write the concatenated text pieces to path, all or nothing."""
+    """Write the concatenated text pieces to path, all or nothing.
+
+    The text goes to a temporary file beside path, which then replaces it.
+    An existing directory at path is refused before anything is made, and
+    every OSError names path, not the temporary file.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(pieces)
-        # mkstemp creates the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines(pieces)
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def write_keypoints(path, size: ImageSize, kps: KeypointSet):

@@ -41,6 +41,7 @@ from .core import (
     Neighborhood,
     Seed,
     SeedReport,
+    _check_match_range,
     _sorted_unique,
     _wrap_angle,
 )
@@ -118,7 +119,8 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     dx*dx + dy*dy <= r1*r1) has strictly higher confidence 1 - ratio, with
     score ties won by the lower match index. Returns the surviving match
     indices, sorted ascending. Positions spanning more than 2**31 cells of
-    side r1 / sqrt(2) on an axis raise ValueError (see _grid_keys).
+    side r1 / sqrt(2) on an axis raise ValueError (see _grid_keys), as does
+    an idx1 beyond k1.
 
     Matches are binned on a grid of cells just under r1 / sqrt(2) wide, so
     two matches in one cell are always within r1 and only each cell's best
@@ -131,6 +133,7 @@ def select_seeds(matches: MatchSet, k1: KeypointSet, r1: float) -> np.ndarray:
     """
     if not 0 < r1 < math.inf:
         raise ValueError("select_seeds: r1 must be > 0")
+    _check_match_range("select_seeds", matches, k1)
     m = len(matches)
     if m == 0:
         return np.zeros(0, dtype=np.int64)
@@ -182,7 +185,9 @@ def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
     Pair k is match cand[k] and seed seeds[owner[k]]; no pair may repeat.
     arrays is the tuple from _transform_arrays. A candidate is a member when
     it passes the spatial gates of both images and, with side information,
-    the orientation and scale gates; each seed is always its own member.
+    the orientation and scale gates. Each seed is its own member: its
+    distance, orientation offset and log-scale offset to itself are 0, and
+    every gate's threshold is positive.
     Returns (members, bounds, centered1, centered2): seed j's members are
     members[bounds[j]:bounds[j + 1]], ordered by ratio ascending, ties by
     match index, and the same rows of the column-major (n, 2) centered1 and
@@ -197,7 +202,6 @@ def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
         da = np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand]))
         ds = np.abs(logsig_t[si] - logsig_t[cand])
         ok &= (da <= params.t_alpha) & (ds <= params.t_sigma)
-    ok |= cand == si
     cand, owner = cand[ok], owner[ok]
     order = np.lexsort((cand, ratio[cand], owner))
     members, owner = cand[order], owner[order]
@@ -220,12 +224,15 @@ def assemble_neighborhood(
     in image 1 and lam * r2 in image 2, and (unless side information is
     disabled) when its induced orientation offset and log scale ratio agree
     with the seed's within t_alpha and t_sigma. Members come out sorted by
-    ratio ascending, ties by match index; the seed is always a member.
+    ratio ascending, ties by match index. The seed is always a member, as
+    it passes its own gates: every offset to itself is 0 and every
+    threshold is positive. A match index beyond k1 or k2 raises ValueError.
     """
     si = int(seed.match_index)
     m = len(matches)
     if not (0 <= si < m):
         raise ValueError("assemble_neighborhood: seed match index out of range")
+    _check_match_range("assemble_neighborhood", matches, k1, k2)
     members, _, centered1, centered2 = _members(
         np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64), np.array([si]),
         _transform_arrays(matches, k1, k2), matches.ratio,
@@ -500,14 +507,13 @@ def adalam_filter(
     diagnostic record per seed. The result equals running select_seeds,
     assemble_neighborhood and verify_seed on every seed in turn. Positions
     spanning more than 2**31 cells of side r1 / sqrt(2) on an axis raise
-    ValueError, as in select_seeds.
+    ValueError, as in select_seeds, and so does a match index beyond k1 or k2.
     """
     if params is None:
         params = AdalamParams()
     if len(matches) == 0:
         return FilterResult(np.zeros(0, dtype=np.int64), ())
-    if np.any(matches.idx1 >= len(k1)) or np.any(matches.idx2 >= len(k2)):
-        raise ValueError("adalam_filter: match indices out of keypoint range")
+    _check_match_range("adalam_filter", matches, k1, k2)
 
     r1 = compute_radius(size1, params.area_ratio)
     r2 = compute_radius(size2, params.area_ratio)

@@ -15,12 +15,14 @@ Search is exact brute force over Euclidean distances. One kernel,
   of 256 × (second-set size) that is allocated once. Working memory thus
   does not grow with the first set; only the second set is held whole,
   in float64 and float32, because the refinement gathers from it.
-- The candidates' distances are recomputed in float64 from explicit
-  differences, `sum((b - a)**2)`, and ordered by (distance, index).
+- The candidates' distances are recomputed by `_sq_dist`, the explicit
+  float64 differences `sum((b - a)**2)`, and ordered by the one rule
+  (distance, index): an `np.lexsort` with the index as secondary key.
 - A rounding bound e_i guards the screening by one rule: a row of the
   second set can be one of the two nearest only if its float32 score is
   at least the 2nd candidate's less 2·e_i. Where another row passes this
-  floor, the row is recomputed the same way against all that pass it.
+  floor, the row is recomputed the same way against all that pass it,
+  and its two nearest are picked in the same order.
 
 The result is exact: the nearest index, its distance and the ratio are
 those of explicit float64 differences with ties broken by the smaller
@@ -33,7 +35,7 @@ import math
 
 import numpy as np
 
-from .core import KeypointSet, MatchSet
+from .core import KeypointSet, MatchSet, _check_match_range
 
 _CHUNK = 256
 _U32 = 2.0 ** -24        # unit roundoff of float32
@@ -54,7 +56,8 @@ def _screen_bound(norm_a, max_b, d):
     After the prescale every component lies in (-1, 1). For a row a of
     the first set and a row b of the second, write S = a·b - ‖b‖²/2 for
     the exact score, s for its float32 value, D = ‖a - b‖² = ‖a‖² - 2S,
-    and D64 for D computed from explicit float64 differences. Let u be
+    and D64 for D computed by `_sq_dist` from explicit float64
+    differences. Let u be
     the float32 unit roundoff, u64 the float64 one, eta = 2**-149 the
     smallest float32, and use (1+u)**n - 1 <= expm1(n·u), which holds
     for every n.
@@ -93,16 +96,24 @@ def _screen_bound(norm_a, max_b, d):
             + math.expm1((d + 3) * _U64) * (norm_a + max_b) ** 2 / 2 + tau)
 
 
+def _sq_dist(b, idx, a):
+    """Squared distances of rows b[idx] to a by explicit float64 differences,
+    a (rows, d) with idx (rows, k) or a (d,) with idx (n,). The gather is the
+    only temporary: a flood's recheck gathers megabytes per row."""
+    diff = b[idx]
+    diff -= a[..., None, :]
+    return np.sum(np.square(diff, out=diff), axis=-1)
+
+
 def _nearest(a: np.ndarray, b: np.ndarray):
     """Exact nearest row of b for every row of a.
 
     Returns (idx, dist, ratio, recheck): the nearest index, its distance,
     the ratio to the second-nearest distance (1 when that is 0, or when b
-    has one row), and a mask of the rows whose screening was not provably
-    exact and that were recomputed against the rows of b their scores
-    could not rule out. Distances are sqrt(sum((b - a)**2)) in float64,
-    ties go to the smaller index. See `_screen_bound` for why the float32
-    screening cannot change them.
+    has one row), and a mask of the rows rechecked against every row of b
+    their float32 scores could not rule out. Distances are square roots of
+    `_sq_dist`, ties go to the smaller index, and `_screen_bound` proves
+    that the float32 screening cannot change them.
     """
     n1, d = a.shape
     n2 = b.shape[0]
@@ -133,24 +144,18 @@ def _nearest(a: np.ndarray, b: np.ndarray):
             score[rows, cand[:, c]] = -np.inf
         if n2 > k:
             recheck[lo:hi] = score.max(axis=1) >= floor
-        diff = b[cand] - block[:, None]
-        dd = np.sum(diff * diff, axis=-1)
+        dd = _sq_dist(b, cand, block)
         for r in np.flatnonzero(recheck[lo:hi]):
-            # The candidates' scores are -inf by now, so the two index sets
-            # are disjoint and their sorted concatenation is their union.
-            near = np.sort(np.concatenate((cand[r], np.flatnonzero(
-                score[r] >= floor[r]))))
-            diff = b[near] - block[r]
-            full = np.sum(diff * diff, axis=1)
-            pick = np.argsort(full, kind="stable")[:k]
-            cand[r] = near[pick]
-            dd[r] = full[pick]
+            # The candidates' scores are -inf by now: the index sets are disjoint.
+            near = np.concatenate((cand[r], np.flatnonzero(score[r] >= floor[r])))
+            full = _sq_dist(b, near, block[r])
+            pick = np.lexsort((near, full))[:k]
+            cand[r], dd[r] = near[pick], full[pick]
         order = np.lexsort((cand, dd), axis=1)
         idx[lo:hi] = cand[rows, order[:, 0]]
         sq[lo:hi] = np.take_along_axis(dd, order, axis=1)
 
-    best = np.sqrt(sq[:, 0])
-    second = np.sqrt(sq[:, -1])
+    best, second = np.sqrt(sq[:, 0]), np.sqrt(sq[:, -1])
     ratio = np.divide(best, second, out=np.ones(n1), where=second > 0.0)
     return idx, np.ldexp(best, shift), ratio, recheck
 
@@ -180,9 +185,10 @@ def mutual_nn_filter(k1: KeypointSet, k2: KeypointSet, matches: MatchSet) -> Mat
 
     Expects matches produced by nn_match(k1, k2). The reverse search is
     the same exact search, so its ties are broken by the smaller k1
-    index.
+    index. A match index beyond k1 or k2 raises ValueError.
     """
     _check_pair(k1, k2)
+    _check_match_range("mutual_nn_filter", matches, k1, k2)
     if len(matches) == 0:
         return matches
     js, inverse = np.unique(matches.idx2, return_inverse=True)

@@ -532,6 +532,73 @@ class TestExitCodes:
         assert stderr == ("adalam eval: --selected takes none of --auc, --hist-auc, "
                           "--map or --bin-width\n")
 
+    @pytest.mark.parametrize("side", ["idx1", "idx2"])
+    @pytest.mark.parametrize("method", ["adalam", "ratio", "mutual"])
+    def test_match_index_out_of_keypoint_range(self, tmp_path, capsys, method, side):
+        kp1, kp2, mt = synth_files(tmp_path)
+        matches, _ = read_matches(mt)
+        idx = {"idx1": matches.idx1.copy(), "idx2": matches.idx2.copy()}
+        idx[side][np.argmin(matches.ratio)] = 999
+        bad = tmp_path / "bad.txt"
+        write_matches(bad, MatchSet(idx["idx1"], idx["idx2"], matches.dist, matches.ratio))
+        out = tmp_path / "o.txt"
+        code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                     "--matches", str(bad), "--out", str(out), "--method", method])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"adalam filter: {bad}: match indices out of keypoint range\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, first, second", [
+        ("synth", "--out-keypoints1", "--out-keypoints2"),
+        ("synth", "--out-keypoints2", "--out-matches"),
+        ("match", "--keypoints1", "--out"),
+        ("filter", "--matches", "--out"),
+        ("filter", "--out", "--report"),
+    ], ids=["synth-keypoints", "synth-matches", "match-input", "filter-input",
+            "filter-report"])
+    def test_colliding_paths_refused(self, tmp_path, capsys, command, first, second):
+        kp1, kp2, mt = synth_files(tmp_path)
+        before = {p: p.read_bytes() for p in (kp1, kp2, mt)}
+        paths = {
+            "synth": {"--out-keypoints1": tmp_path / "a1.txt",
+                      "--out-keypoints2": tmp_path / "a2.txt",
+                      "--out-matches": tmp_path / "am.txt"},
+            "match": {"--keypoints1": kp1, "--keypoints2": kp2,
+                      "--out": tmp_path / "o.txt"},
+            "filter": {"--keypoints1": kp1, "--keypoints2": kp2, "--matches": mt,
+                       "--out": tmp_path / "o.txt", "--report": tmp_path / "r.txt"},
+        }[command]
+        # The second flag names the first one's file by another spelling.
+        paths[second] = tmp_path / "sub" / ".." / paths[first].name
+        code = main([command] + [str(x) for item in paths.items() for x in item])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"adalam {command}: {first} and {second} name the same file")
+        assert {p: p.read_bytes() for p in (kp1, kp2, mt)} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kp1.txt", "kp2.txt", "mt.txt"]
+
+    def test_shared_input_is_not_a_collision(self, tmp_path, capsys):
+        kp1, _, _ = synth_files(tmp_path)
+        out = tmp_path / "o.txt"
+        assert main(["match", "--keypoints1", str(kp1), "--keypoints2", str(kp1),
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("target", ["missing-dir", "cwd"])
+    def test_write_error_names_the_target(self, tmp_path, capsys, monkeypatch, target):
+        kp1, kp2, _ = synth_files(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        out = str(work / "missing" / "o.txt") if target == "missing-dir" else "."
+        code = main(["match", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                     "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(out) in err and ".tmp" not in err
+        assert not list(work.glob("*.tmp")) and not list(tmp_path.glob("*.tmp"))
+
     def test_eval_gt_column_required(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"
         mt.write_text("ADALAM-MT 1 1 0\n0 0 0.5 0.5\n")

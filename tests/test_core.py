@@ -12,6 +12,10 @@ from adalam import (
     MatchSet,
     Neighborhood,
     Seed,
+    adalam_filter,
+    assemble_neighborhood,
+    mutual_nn_filter,
+    select_seeds,
     wrap_angle,
 )
 
@@ -193,11 +197,19 @@ class TestAdalamParams:
             {"t_n": 2.5},
             {"t_n": math.inf},
             {"t_n": math.nan},
+            {"t_c": math.inf},
+            {"eps_residual": math.inf},
         ],
     )
     def test_invalid(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"AdalamParams: {next(iter(kw))} must be"):
             AdalamParams(**kw)
+
+    @pytest.mark.parametrize("name", ["t_alpha", "t_sigma", "fixed_threshold"])
+    def test_infinite_gate_accepted(self, name):
+        # An infinite t_alpha or t_sigma switches its gate off; an infinite
+        # fixed_threshold keeps every member.
+        assert getattr(AdalamParams(**{name: math.inf}), name) == math.inf
 
     @pytest.mark.parametrize("name", ["iterations", "t_n"])
     def test_integer_settings(self, name):
@@ -243,3 +255,35 @@ class TestGeometryTypes:
             FilterResult(selected=np.array([1, 1]), seed_reports=())
         r = FilterResult(selected=np.array([1, 2, 5]), seed_reports=())
         assert list(r.selected) == [1, 2, 5]
+
+
+class TestMatchRange:
+    """Every function that indexes keypoints through matches refuses an index
+    beyond its keypoint set with a ValueError that names the function."""
+
+    @staticmethod
+    def _call(name, k1, k2, matches):
+        size = ImageSize(100, 100)
+        if name == "select_seeds":
+            return select_seeds(matches, k1, 10.0)
+        if name == "assemble_neighborhood":
+            return assemble_neighborhood(Seed(0, 10.0, 10.0), matches, k1, k2, AdalamParams())
+        if name == "mutual_nn_filter":
+            return mutual_nn_filter(k1, k2, matches)
+        return adalam_filter(k1, k2, size, size, matches)
+
+    # select_seeds reads no second keypoint set, so it has no idx2 case.
+    @pytest.mark.parametrize("name, side", [
+        ("select_seeds", "idx1"),
+        ("assemble_neighborhood", "idx1"), ("assemble_neighborhood", "idx2"),
+        ("mutual_nn_filter", "idx1"), ("mutual_nn_filter", "idx2"),
+        ("adalam_filter", "idx1"), ("adalam_filter", "idx2"),
+    ])
+    def test_out_of_range_index(self, name, side):
+        k1, k2 = make_keypoints(40, seed=1), make_keypoints(40, seed=2)
+        idx = {"idx1": np.arange(3), "idx2": np.arange(3)}
+        idx[side] = np.array([0, 1, 999])
+        matches = MatchSet(idx["idx1"], idx["idx2"], np.zeros(3), np.full(3, 0.5))
+        self._call(name, k1, k2, matches.take(np.arange(2)))
+        with pytest.raises(ValueError, match=f"^{name}: match indices out of keypoint range$"):
+            self._call(name, k1, k2, matches)

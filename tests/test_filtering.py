@@ -235,6 +235,19 @@ class TestAssembleNeighborhood:
         nb2 = assemble_neighborhood(Seed(0, 56.4, 56.4), matches, k1, k2b, AdalamParams())
         assert 1 in nb2.members
 
+    @pytest.mark.parametrize("gate", ["t_alpha", "t_sigma"])
+    def test_side_gates_are_inclusive(self, gate):
+        # The member's orientation offset is exactly 0.5 and its log-scale
+        # offset exactly ln 2: it joins at the threshold, not just above it.
+        k1, k2, matches = self._scene(alpha2=[0.5, 0.0], sigma2=[2.0, 1.0])
+        offset = {"t_alpha": 0.5, "t_sigma": float(np.log(2.0))}
+        seed = Seed(0, 56.4, 56.4)
+        nb = assemble_neighborhood(seed, matches, k1, k2, AdalamParams(**offset))
+        assert 1 in nb.members
+        offset[gate] = float(np.nextafter(offset[gate], 0.0))
+        nb = assemble_neighborhood(seed, matches, k1, k2, AdalamParams(**offset))
+        assert list(nb.members) == [0]
+
     def test_spatial_gates_both_images(self):
         lam_r = 4.0 * 10.0
         k1, k2, matches = self._scene(x2=[[200.0, 200.0], [200.0 + lam_r + 1.0, 200.0]])

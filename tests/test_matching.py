@@ -127,6 +127,20 @@ class TestNNMatch:
         assert m.idx2[0] == 0
         assert m.ratio[0] == 1.0
 
+    def test_exact_tie_goes_to_smaller_index_whatever_float32_order(self):
+        # Twelve rows at exactly distance 5 from each query; their float32
+        # scores differ only by rounding, so the two candidates are seldom
+        # the two smallest indices. The recheck must still order the tied
+        # rows by index.
+        offsets = np.array([(3, 4), (4, 3), (-3, 4), (-4, 3), (3, -4), (4, -3),
+                            (-3, -4), (-4, -3), (5, 0), (0, 5), (-5, 0), (0, -5)], float)
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            a = rng.integers(2**19, 2**21, size=(1, 2)).astype(float)
+            b = a + offsets[rng.permutation(12)]
+            idx, dist, ratio, recheck = matching._nearest(a, b)
+            assert (idx[0], dist[0], ratio[0], recheck[0]) == (0, 5.0, 1.0, True)
+
     def test_float32_near_tie_is_exact(self):
         m = nn_match(kps_from_desc(NEAR_TIE[0]), kps_from_desc(NEAR_TIE[1]))
         assert m.idx2[0] == 3
