@@ -194,7 +194,8 @@ class AdalamParams:
     fixed_threshold, when set, replaces the adaptive confidence test by a
     fixed residual radius in pixels (the plain locally-affine baseline).
     t_sigma thresholds the absolute log of the scale-transform ratio.
-    t_c and eps_residual must be finite. t_alpha, t_sigma and
+    t_c must be finite and eps_residual must lie in (0, 1): at 1 or more
+    every residual would clamp to r2 or beyond. t_alpha, t_sigma and
     fixed_threshold may be infinite: t_alpha or t_sigma then switches its
     gate off, and fixed_threshold keeps every member.
     """
@@ -216,12 +217,13 @@ class AdalamParams:
         # Each check is written so that NaN fails it.
         if not 0 < self.area_ratio < math.inf:
             raise ValueError("AdalamParams: area_ratio must be > 0")
-        for name in ("t_alpha", "t_sigma", "t_c", "eps_residual"):
+        for name in ("t_alpha", "t_sigma", "t_c"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"AdalamParams: {name} must be > 0")
-        for name in ("t_c", "eps_residual"):
-            if not getattr(self, name) < math.inf:
-                raise ValueError(f"AdalamParams: {name} must be finite")
+        if not self.t_c < math.inf:
+            raise ValueError("AdalamParams: t_c must be finite")
+        if not 0 < self.eps_residual < 1:
+            raise ValueError("AdalamParams: eps_residual must be > 0 and < 1")
         if not self.lam >= 1:
             raise ValueError("AdalamParams: lam must be >= 1")
         if not self.iterations >= 1:

@@ -321,10 +321,13 @@ def confidences(resid, r2: float, eps_residual: float = 1e-6):
     equal residuals ranked by member index, and, per rank k, the ratio
     between the observed inlier count k+1 and the count expected from
     uniformly scattered outliers within radius r2 at the same residual.
-    Residuals are clamped below at eps_residual * r2 before squaring.
+    Residuals are clamped below at eps_residual * r2 before squaring, with
+    eps_residual in (0, 1).
     """
     if not 0 < r2 < math.inf:
         raise ValueError("confidences: r2 must be > 0")
+    if not 0 < eps_residual < 1:
+        raise ValueError("confidences: eps_residual must be > 0 and < 1")
     resid = np.asarray(resid, dtype=np.float64)
     order = np.argsort(resid, kind="stable")
     return order, _confidences(resid[order], r2, eps_residual)

@@ -9,12 +9,17 @@ Search is exact brute force over Euclidean distances. One kernel,
   keeps the float32 scores below from overflowing or underflowing, so no
   descriptor range is refused.
 - Candidates are screened on float32 scores `a·b - ‖b‖²/2`, whose
-  maximum is the nearest neighbor; each row keeps its top 2.
+  maximum is the nearest neighbor; each row keeps its top 2. The
+  half-norms are folded into the product: the second set is held as one
+  contiguous float32 (d+1, n2) array, b.T over a last row of ‖b‖²/2, and
+  each block of the first set is cast into a float32 (rows, d+1) buffer
+  whose last column is -1. One matrix product then writes the scores.
 - The first set is processed in blocks of 256 rows: each block is
   prescaled and cast on its own, and its scores fill one float32 buffer
   of 256 × (second-set size) that is allocated once. Working memory thus
   does not grow with the first set; only the second set is held whole,
-  in float64 and float32, because the refinement gathers from it.
+  in float64, because the refinement gathers from it, and as the
+  (d+1, n2) float32 array.
 - The candidates' distances are recomputed by `_sq_dist`, the explicit
   float64 differences `sum((b - a)**2)`, and ordered by the one rule
   (distance, index): an `np.lexsort` with the index as secondary key.
@@ -55,32 +60,47 @@ def _screen_bound(norm_a, max_b, d):
 
     After the prescale every component lies in (-1, 1). For a row a of
     the first set and a row b of the second, write S = a·b - ‖b‖²/2 for
-    the exact score, s for its float32 value, D = ‖a - b‖² = ‖a‖² - 2S,
-    and D64 for D computed by `_sq_dist` from explicit float64
-    differences. Let u be
-    the float32 unit roundoff, u64 the float64 one, eta = 2**-149 the
-    smallest float32, and use (1+u)**n - 1 <= expm1(n·u), which holds
-    for every n.
+    the exact score, s for its float32 value from `_scores`, D = ‖a - b‖²
+    = ‖a‖² - 2S, and D64 for D computed by `_sq_dist` from explicit
+    float64 differences. Let u be the float32 unit roundoff, u64 the
+    float64 one, eta = 2**-149 the smallest float32, and use
+    (1+u)**n - 1 <= expm1(n·u), which holds for every n.
+
+    `_scores` computes s as one float32 sum of d+1 products x_k·y_k, with
+    x = (a32, -1) and y = (b32, h32): a32 and b32 are the casts of a and
+    b, and h32 is ‖b‖²/2 summed in float64 and cast. Term by term:
 
     - Casting to float32 changes each component x by at most
-      u·|x| + eta/2.
-    - The float32 product of the casts, in any summation order, differs
-      from a·b by at most ((1+u)**(d+2) - 1)·‖a‖·‖b‖ plus d·eta from the
-      casts and d·eta/2·(1+u)**d from products that underflow.
-    - ‖b‖²/2 is summed in float64 and cast, so it is off by at most
-      ((1+u)·(1+u64)**d - 1)·‖b‖²/2 + eta/2.
-    - The float32 subtraction adds u·(|a·b| + ‖b‖²/2), to first order.
+      u·|x| + eta/2. So a32·b32 differs from a·b by at most
+      ((1+u)**2 - 1)·‖a‖·‖b‖, and Σ|a32_k·b32_k| <= (1+u)**2·‖a‖·‖b‖,
+      plus 2·d·eta·(1+u) from the casts of components below 2**-126.
+    - h32: ‖b‖² is summed in float64 (d roundings per term; float64
+      underflow adds at most d·2**-1074, far below eta), halved exactly and
+      cast. So |h32 - ‖b‖²/2| <= ((1+u)·(1+u64)**d - 1)·‖b‖²/2 + eta/2,
+      and h32 is at most (1+u)·(1+u64)**d·‖b‖²/2 + eta/2.
+    - The folded sum: each of the d+1 terms passes through one product
+      rounding and at most d additions, in any summation order, so the
+      float32 sum differs from Σx_k·y_k by at most
+      ((1+u)**(d+1) - 1)·(Σ|a32_k·b32_k| + h32). The last product,
+      -1·h32, is exact. Gradual underflow makes every addition's error
+      relative; the d products that underflow add d·eta/2·(1+u)**d.
+    - Collecting the ‖a‖·‖b‖ terms gives
+      (1+u)**2 - 1 + ((1+u)**(d+1) - 1)·(1+u)**2 = (1+u)**(d+3) - 1,
+      and the ‖b‖²/2 terms give
+      (1+u)·(1+u64)**d - 1 + ((1+u)**(d+1) - 1)·(1+u)·(1+u64)**d
+      = (1+u)**(d+2)·(1+u64)**d - 1.
 
-    So |s - S| <= expm1((d+3)·u)·‖a‖·M + expm1(2u + d·u64)·M²/2 + tau
-    with M = max‖b‖ and tau = 2·(d+1)·(1 + expm1((d+4)·u))·eta. The
-    float64 differences give |D64 - D| <= expm1((d+2)·u64)·D, and
-    D <= (‖a‖ + M)².
+    So |s - S| <= expm1((d+3)·u)·‖a‖·M + expm1((d+2)·u + d·u64)·M²/2 + tau
+    with M = max‖b‖ and tau = 4·(d+1)·(1 + expm1((d+4)·u))·eta, which
+    covers the eta terms above. The float64 differences give
+    |D64 - D| <= expm1((d+2)·u64)·D, and D <= (‖a‖ + M)².
 
-    The returned e_i = expm1((d+4)·u)·‖a_i‖·M + expm1(2u + d·u64)·M²
+    The returned e_i = expm1((d+4)·u)·‖a_i‖·M + expm1((d+4)·u + d·u64)·M²/2
     + expm1((d+3)·u64)·(‖a_i‖ + M)²/2 + tau bounds |s - S| plus half of
-    |D64 - D|. Its coefficients exceed the sums above by a margin that
-    covers the float64 rounding of e_i itself and of the floor
-    s_2 - 2·e_i it sets.
+    |D64 - D|. Each coefficient exceeds its sum above by at least u (or
+    u64) times its term, a margin that covers the float64 rounding of
+    ‖a_i‖, M and e_i themselves and of the floor s_2 - 2·e_i it sets,
+    since |s_2| <= (1 + 2u)·(‖a_i‖·M + M²/2).
 
     Take the row's two best float32 candidates c and any row j with
     s_j < s_c - 2·e_i for both. Then S_c - S_j > 2·(e_i - max|s - S|),
@@ -91,9 +111,38 @@ def _screen_bound(norm_a, max_b, d):
     The bound assumes IEEE gradual underflow, NumPy's default.
     """
     c32 = math.expm1((d + 4) * _U32)
-    tau = 2.0 * (d + 1) * (1.0 + c32) * _TINY32
-    return (c32 * norm_a * max_b + math.expm1(2 * _U32 + d * _U64) * max_b ** 2
+    tau = 4.0 * (d + 1) * (1.0 + c32) * _TINY32
+    return (c32 * norm_a * max_b + math.expm1((d + 4) * _U32 + d * _U64) * max_b ** 2 / 2
             + math.expm1((d + 3) * _U64) * (norm_a + max_b) ** 2 / 2 + tau)
+
+
+def _prescale(a, b):
+    """The power of two 2**-shift that brings every component of a and b
+    into (-1, 1), as shift."""
+    amax = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    return int(np.frexp(amax)[1])
+
+
+def _folded(b):
+    """The second set as `_scores` takes it, and M = max‖b‖.
+
+    A contiguous float32 (d+1, n2) array: rows 0..d-1 hold b.T and row d
+    holds ‖b‖²/2, summed in float64.
+    """
+    sq_b = np.einsum("ij,ij->i", b, b)
+    bt = np.empty((b.shape[1] + 1, b.shape[0]), dtype=np.float32)
+    bt[:-1] = b.T
+    bt[-1] = 0.5 * sq_b
+    return bt, math.sqrt(np.max(sq_b))
+
+
+def _scores(block, bt, lhs, out):
+    """Float32 screening scores a·b - ‖b‖²/2 of the rows of block against
+    `_folded`'s bt, written to out by one product. lhs is a float32
+    (rows, d+1) buffer whose last column is -1; block is cast into the rest.
+    """
+    lhs[:, :-1] = block
+    return np.matmul(lhs, bt, out=out)
 
 
 def _sq_dist(b, idx, a):
@@ -117,25 +166,21 @@ def _nearest(a: np.ndarray, b: np.ndarray):
     """
     n1, d = a.shape
     n2 = b.shape[0]
-    amax = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    shift = int(np.frexp(amax)[1])
+    shift = _prescale(a, b)
     b = np.ldexp(b, -shift)
-    b32 = b.astype(np.float32)
-    sq_b = np.einsum("ij,ij->i", b, b)
-    half32 = (0.5 * sq_b).astype(np.float32)
-    max_b = math.sqrt(np.max(sq_b))
+    bt, max_b = _folded(b)
     k = min(2, n2)
 
     idx = np.empty(n1, dtype=np.int64)
     sq = np.empty((n1, k), dtype=np.float64)
     recheck = np.zeros(n1, dtype=bool)
+    lhs = np.full((min(_CHUNK, n1), d + 1), -1.0, dtype=np.float32)
     buf = np.empty((min(_CHUNK, n1), n2), dtype=np.float32)
     for lo in range(0, n1, _CHUNK):
         hi = min(lo + _CHUNK, n1)
         block = np.ldexp(a[lo:hi], -shift)
         bound = _screen_bound(np.sqrt(np.einsum("ij,ij->i", block, block)), max_b, d)
-        score = np.matmul(block.astype(np.float32), b32.T, out=buf[:hi - lo])
-        score -= half32
+        score = _scores(block, bt, lhs[:hi - lo], buf[:hi - lo])
         rows = np.arange(hi - lo)
         cand = np.empty((hi - lo, k), dtype=np.int64)
         for c in range(k):  # floor ends as the 2nd candidate's score less 2·e_i

@@ -382,6 +382,16 @@ class TestExitCodes:
         assert "area_ratio must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eps_residual_of_one_or_more(self, tmp_path, capsys):
+        kp1, kp2, mt = synth_files(tmp_path)
+        out = tmp_path / "o.txt"
+        for value in ("1", "1e300"):
+            code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                         "--matches", str(mt), "--out", str(out), "--eps-residual", value])
+            assert code == 2
+            assert "eps_residual must be > 0 and < 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_non_finite_synth_setting(self, tmp_path, capsys):
         for flag, field in [("--noise-sigma", "noise_sigma"),
                             ("--patch-rotation", "patch_rotation")]:

@@ -199,6 +199,8 @@ class TestAdalamParams:
             {"t_n": math.nan},
             {"t_c": math.inf},
             {"eps_residual": math.inf},
+            {"eps_residual": 1.0},
+            {"eps_residual": 1e300},
         ],
     )
     def test_invalid(self, kw):

@@ -391,6 +391,12 @@ class TestConfidences:
             with pytest.raises(ValueError, match="r2 must be > 0"):
                 confidences(np.array([1.0]), r2)
 
+    def test_invalid_eps_residual(self):
+        # At 1 or more every residual would clamp to r2 or beyond.
+        for eps in (0.0, 1.0, 1e300, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps_residual must be > 0 and < 1"):
+                confidences(np.array([1.0]), 10.0, eps)
+
 
 class TestSelectInliers:
     def test_prefix_rule(self):

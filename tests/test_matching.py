@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,7 +195,58 @@ class TestNNMatch:
             )
 
 
+def screen_inputs(kind, d, rng):
+    """Descriptor sets for the direct test of `_screen_bound`."""
+    d1, d2 = rng.normal(size=(5, d)), rng.normal(size=(7, d))
+    if kind == "mixed-norms":
+        d1 *= 10.0 ** rng.integers(-3, 4, size=(5, 1))
+        d2 *= 10.0 ** rng.integers(-3, 4, size=(7, 1))
+    elif kind in ("up", "down"):
+        shift = 600 if kind == "up" else -600
+        d1, d2 = np.ldexp(d1, shift), np.ldexp(d2, shift)
+    elif kind == "subnormal":
+        # Rows whose float32 casts and products fall below 2**-126.
+        d2 = np.ldexp(d2, -np.array([0, 60, 120, 126, 135, 140, 149])[:, None])
+        d1[1:] = np.ldexp(d1[1:], -130)
+    elif kind == "offset":
+        # ‖b‖²/2 dwarfs the gaps between the scores.
+        offset = 1000.0 * rng.normal(size=d)
+        d1, d2 = d1 + offset, d2 + offset
+    return d1, d2
+
+
 class TestScreeningGuard:
+    @pytest.mark.parametrize("d", [1, 2, 16, 128])
+    @pytest.mark.parametrize("kind", ["gauss", "mixed-norms", "up", "down", "subnormal",
+                                      "offset"])
+    def test_scores_within_bound(self, kind, d):
+        # The kernel's own float32 scores against the exact scores
+        # S = a·b - ‖b‖²/2 of the prescaled rows: |s - S| <= e_i - |D64 - D|/2,
+        # the inequality that `_screen_bound`'s proof rests on.
+        d1, d2 = screen_inputs(kind, d, np.random.default_rng(d))
+        shift = matching._prescale(d1, d2)
+        a, b = np.ldexp(d1, -shift), np.ldexp(d2, -shift)
+        bt, max_b = matching._folded(b)
+        lhs = np.full((len(a), d + 1), -1.0, dtype=np.float32)
+        s = matching._scores(a, bt, lhs, np.empty((len(a), len(b)), dtype=np.float32))
+        bound = matching._screen_bound(np.sqrt(np.einsum("ij,ij->i", a, a)), max_b, d)
+        fa = [[Fraction(x) for x in row] for row in a.tolist()]
+        fb = [[Fraction(x) for x in row] for row in b.tolist()]
+        for i, ai in enumerate(fa):
+            d64 = matching._sq_dist(b, np.arange(len(b)), a[i])
+            for j, bj in enumerate(fb):
+                exact = sum(x * y - y * y / 2 for x, y in zip(ai, bj))
+                dist = sum((x - y) ** 2 for x, y in zip(ai, bj))
+                slack = Fraction(bound[i]) - abs(Fraction(d64[j]) - dist) / 2
+                assert abs(Fraction(float(s[i, j])) - exact) <= slack, (i, j)
+
+    def test_recheck_rate_on_gaussian_descriptors(self):
+        # About 0.3% of rows are rechecked; a loosened bound would flood.
+        rng = np.random.default_rng(16)
+        recheck = matching._nearest(rng.normal(size=(2000, 128)),
+                                    rng.normal(size=(2000, 128)))[3]
+        assert recheck.mean() < 0.01
+
     def test_near_tie_is_rechecked(self):
         recheck = matching._nearest(np.array(NEAR_TIE[0]), np.array(NEAR_TIE[1]))[3]
         assert list(recheck) == [True]
@@ -255,8 +307,8 @@ class TestBlocks:
         assert np.array_equal(ratio, oracle[2])
 
     def test_working_memory_is_bounded(self):
-        # About 13 MB: the second set in float64 and float32 and one
-        # 256 x 4000 float32 score buffer; once 44 MB.
+        # About 13 MB: the second set in float64 and as a (129, 4000)
+        # float32 array and one 256 x 4000 float32 score buffer; once 44 MB.
         rng = np.random.default_rng(15)
         k1 = kps_from_desc(rng.normal(size=(4000, 128)))
         k2 = kps_from_desc(rng.normal(size=(4000, 128)))

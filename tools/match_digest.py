@@ -7,10 +7,11 @@ Each case runs `matching._nearest`, the kernel of `nn_match` and
 nearest indices, distances and ratios (with their dtypes), and the number
 of rows whose screening was rechecked. The cases are
 
-- 30 descriptor pairs: five kinds (Gaussian rows, rows rounded to
+- 36 descriptor pairs: six kinds (Gaussian rows, rows rounded to
   integers, half the second set one repeated row, Gaussian rows scaled by
-  2**600, and rows 1e-9 apart) at six shapes with n1 and n2 from 1 to 700
-  and d in {2, 3, 16, 128};
+  2**600, rows 1e-9 apart, and Gaussian rows plus one shared offset of
+  about 30 per component, so that ‖b‖²/2 dwarfs the score gaps) at six
+  shapes with n1 and n2 from 1 to 700 and d in {2, 3, 16, 128};
 - second sets of 1, 2 and 3 rows;
 - first sets of 255, 256, 257 and 513 rows, around the 256-row blocks,
   with rows planted a hair apart in the second and third blocks;
@@ -18,11 +19,16 @@ of rows whose screening was rechecked. The cases are
   inliers and 6000 outliers, 128-d), scene seeds 101 and 102.
 
 Two trees match identically on these cases when their outputs diff empty.
-It runs in a few seconds.
+
+It then runs the cases again in blocks of 7 rows (matching._CHUNK = 7).
+A case whose nearest indices, distances or ratios differ from the first
+pass goes to stderr and the exit status is 1: the block size must not
+change the result. Recheck counts may differ. It runs in a few seconds.
 """
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from adalam import ImageSize, matching
 from adalam.synth import SynthConfig, generate_scene
 
 SHAPES = ((1, 2, 2), (7, 5, 3), (40, 60, 16), (257, 40, 2), (700, 300, 16), (300, 700, 128))
-KINDS = ("gauss", "rounded", "repeated", "scaled", "near")
+KINDS = ("gauss", "rounded", "repeated", "scaled", "near", "offset")
 
 
 def _pair(kind, n1, n2, d, seed):
@@ -45,6 +51,9 @@ def _pair(kind, n1, n2, d, seed):
     elif kind == "near":
         d2[: n2 // 2 + 1] = d2[0] + 1e-9 * rng.normal(size=(n2 // 2 + 1, d))
         d1[0] = d2[0] + 1e-9 * rng.normal(size=d)
+    elif kind == "offset":
+        offset = 30.0 * rng.normal(size=d)
+        d1, d2 = d1 + offset, d2 + offset
     return d1, d2
 
 
@@ -84,11 +93,23 @@ def _sha(*arrays) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+def digests():
+    """(name, output digest, recheck count) for every case."""
     for name, (d1, d2) in cases():
         idx, dist, ratio, recheck = matching._nearest(d1, d2)
-        print(name, _sha(idx, dist, ratio), int(recheck.sum()))
-    return 0
+        yield name, _sha(idx, dist, ratio), int(recheck.sum())
+
+
+def main() -> int:
+    first = []
+    for name, sha, rechecked in digests():
+        print(name, sha, rechecked)
+        first.append((name, sha))
+    matching._CHUNK = 7
+    seams = [name for (name, sha), (_, small, _) in zip(first, digests()) if small != sha]
+    for name in seams:
+        print(f"differs with matching._CHUNK = 7: {name}", file=sys.stderr)
+    return 1 if seams else 0
 
 
 if __name__ == "__main__":
