@@ -100,7 +100,7 @@ def _screen_bound(norm_a, max_b, d):
     |D64 - D|. Each coefficient exceeds its sum above by at least u (or
     u64) times its term, a margin that covers the float64 rounding of
     ‖a_i‖, M and e_i themselves and of the floor s_2 - 2·e_i it sets,
-    since |s_2| <= (1 + 2u)·(‖a_i‖·M + M²/2).
+    since |s_2| <= (1 + expm1((d+3)·u))·(‖a_i‖·M + M²/2) + tau.
 
     Take the row's two best float32 candidates c and any row j with
     s_j < s_c - 2·e_i for both. Then S_c - S_j > 2·(e_i - max|s - S|),
@@ -117,8 +117,8 @@ def _screen_bound(norm_a, max_b, d):
 
 
 def _prescale(a, b):
-    """The power of two 2**-shift that brings every component of a and b
-    into (-1, 1), as shift."""
+    """The shift such that multiplying by 2**-shift brings every component
+    of a and b into (-1, 1)."""
     amax = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
     return int(np.frexp(amax)[1])
 
@@ -136,11 +136,12 @@ def _folded(b):
     return bt, math.sqrt(np.max(sq_b))
 
 
-def _scores(block, bt, lhs, out):
+def _scores(block, bt, out):
     """Float32 screening scores a·b - ‖b‖²/2 of the rows of block against
-    `_folded`'s bt, written to out by one product. lhs is a float32
-    (rows, d+1) buffer whose last column is -1; block is cast into the rest.
+    `_folded`'s bt, written to out by one product: block is cast into a
+    float32 (rows, d+1) operand whose last column is -1.
     """
+    lhs = np.full((block.shape[0], bt.shape[0]), -1.0, dtype=np.float32)
     lhs[:, :-1] = block
     return np.matmul(lhs, bt, out=out)
 
@@ -174,13 +175,12 @@ def _nearest(a: np.ndarray, b: np.ndarray):
     idx = np.empty(n1, dtype=np.int64)
     sq = np.empty((n1, k), dtype=np.float64)
     recheck = np.zeros(n1, dtype=bool)
-    lhs = np.full((min(_CHUNK, n1), d + 1), -1.0, dtype=np.float32)
     buf = np.empty((min(_CHUNK, n1), n2), dtype=np.float32)
     for lo in range(0, n1, _CHUNK):
         hi = min(lo + _CHUNK, n1)
         block = np.ldexp(a[lo:hi], -shift)
         bound = _screen_bound(np.sqrt(np.einsum("ij,ij->i", block, block)), max_b, d)
-        score = _scores(block, bt, lhs[:hi - lo], buf[:hi - lo])
+        score = _scores(block, bt, buf[:hi - lo])
         rows = np.arange(hi - lo)
         cand = np.empty((hi - lo, k), dtype=np.int64)
         for c in range(k):  # floor ends as the 2nd candidate's score less 2·e_i

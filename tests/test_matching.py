@@ -227,8 +227,7 @@ class TestScreeningGuard:
         shift = matching._prescale(d1, d2)
         a, b = np.ldexp(d1, -shift), np.ldexp(d2, -shift)
         bt, max_b = matching._folded(b)
-        lhs = np.full((len(a), d + 1), -1.0, dtype=np.float32)
-        s = matching._scores(a, bt, lhs, np.empty((len(a), len(b)), dtype=np.float32))
+        s = matching._scores(a, bt, np.empty((len(a), len(b)), dtype=np.float32))
         bound = matching._screen_bound(np.sqrt(np.einsum("ij,ij->i", a, a)), max_b, d)
         fa = [[Fraction(x) for x in row] for row in a.tolist()]
         fb = [[Fraction(x) for x in row] for row in b.tolist()]
