@@ -12,8 +12,8 @@ Search is exact brute force over Euclidean distances. One kernel,
   maximum is the nearest neighbor; each row keeps its top 2. The
   half-norms are folded into the product: the second set is held as one
   contiguous float32 (d+1, n2) array, b.T over a last row of ‖b‖²/2, and
-  each block of the first set is cast into a float32 (rows, d+1) buffer
-  whose last column is -1. One matrix product then writes the scores.
+  each block of the first set is cast into a float32 (rows, d+1)
+  operand whose last column is -1. One matrix product then writes the scores.
 - The first set is processed in blocks of 256 rows: each block is
   prescaled and cast on its own, and its scores fill one float32 buffer
   of 256 × (second-set size) that is allocated once. Working memory thus
