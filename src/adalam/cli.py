@@ -175,7 +175,7 @@ def _cmd_match(args) -> int:
 
 def _rows_of(matches: MatchSet, kept: MatchSet) -> np.ndarray:
     """The row indices in matches of the (idx1, idx2) pairs of kept that
-    matches holds, in kept's order."""
+    matches holds, in kept's order: `eval --selected` against `--matches`."""
     if len(matches) == 0:
         return np.zeros(0, dtype=np.int64)
     order = np.argsort(matches.idx1)   # idx1 is unique in a MatchSet
@@ -193,9 +193,9 @@ def _cmd_filter(args) -> int:
     matches, gt = read_matches(args.matches)
     _check_match_range(args.matches, matches, k1, k2)
     if args.method == "ratio":
-        sel = _rows_of(matches, ratio_test_filter(matches, args.ratio_threshold))
+        sel = ratio_test_filter(matches, args.ratio_threshold)
     elif args.method == "mutual":
-        sel = _rows_of(matches, mutual_nn_filter(k1, k2, matches))
+        sel = mutual_nn_filter(k1, k2, matches)
     else:
         result = adalam_filter(k1, k2, size1, size2, matches, _config(AdalamParams, args))
         sel = result.selected
@@ -270,7 +270,7 @@ def _cmd_bench(args) -> int:
         start = time.perf_counter()
         for scene in scenes:
             if params is None:
-                sel = _rows_of(scene.matches, ratio_test_filter(scene.matches, 0.8))
+                sel = ratio_test_filter(scene.matches, 0.8)
             else:
                 sel = adalam_filter(scene.k1, scene.k2, size, size, scene.matches,
                                     params).selected

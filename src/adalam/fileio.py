@@ -17,7 +17,6 @@ values the containers refuse, such as a sigma of 0, are reported at line 1.
 from __future__ import annotations
 
 import errno
-import math
 import os
 import tempfile
 import warnings

@@ -187,8 +187,7 @@ def _nearest(a: np.ndarray, b: np.ndarray):
             cand[:, c] = score.argmax(axis=1)
             floor = score[rows, cand[:, c]] - 2.0 * bound
             score[rows, cand[:, c]] = -np.inf
-        if n2 > k:
-            recheck[lo:hi] = score.max(axis=1) >= floor
+        recheck[lo:hi] = score.max(axis=1) >= floor
         dd = _sq_dist(b, cand, block)
         for r in np.flatnonzero(recheck[lo:hi]):
             # The candidates' scores are -inf by now: the index sets are disjoint.
@@ -218,15 +217,16 @@ def nn_match(k1: KeypointSet, k2: KeypointSet) -> MatchSet:
     return MatchSet(np.arange(len(k1), dtype=np.int64), idx2, dist, ratio)
 
 
-def ratio_test_filter(matches: MatchSet, threshold: float) -> MatchSet:
-    """Keep matches with ratio <= threshold, preserving input order."""
+def ratio_test_filter(matches: MatchSet, threshold: float) -> np.ndarray:
+    """The rows of matches with ratio <= threshold, as sorted int64 indices."""
     if not (0.0 < threshold <= 1.0):
         raise ValueError("ratio_test_filter: threshold must lie in (0, 1]")
-    return matches.take(matches.ratio <= threshold)
+    return np.flatnonzero(matches.ratio <= threshold)
 
 
-def mutual_nn_filter(k1: KeypointSet, k2: KeypointSet, matches: MatchSet) -> MatchSet:
-    """Keep match (i -> j) iff i is also the nearest neighbor of j in k1.
+def mutual_nn_filter(k1: KeypointSet, k2: KeypointSet, matches: MatchSet) -> np.ndarray:
+    """The rows (i -> j) of matches where i is also the nearest neighbor of
+    j in k1, as sorted int64 indices.
 
     Expects matches produced by nn_match(k1, k2). The reverse search is
     the same exact search, so its ties are broken by the smaller k1
@@ -234,8 +234,8 @@ def mutual_nn_filter(k1: KeypointSet, k2: KeypointSet, matches: MatchSet) -> Mat
     """
     _check_pair(k1, k2)
     _check_match_range("mutual_nn_filter", matches, k1, k2)
-    if len(matches) == 0:
-        return matches
+    if len(k1) == 0:  # then matches is empty too, and there is no reverse search
+        return np.zeros(0, dtype=np.int64)
     js, inverse = np.unique(matches.idx2, return_inverse=True)
     nn21 = _nearest(k2.desc[js], k1.desc)[0]
-    return matches.take(nn21[inverse] == matches.idx1)
+    return np.flatnonzero(nn21[inverse] == matches.idx1)

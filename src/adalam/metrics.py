@@ -7,9 +7,11 @@ comparison: errors exactly at the threshold count as successes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+_MAX_BINS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -22,18 +24,10 @@ class EvalReport:
     f1: float
 
     def lines(self) -> str:
-        """Line-oriented key=value text block."""
-        return "".join(
-            f"{k}={v:.9g}\n" if isinstance(v, float) else f"{k}={v}\n"
-            for k, v in (
-                ("true_positives", self.true_positives),
-                ("false_positives", self.false_positives),
-                ("false_negatives", self.false_negatives),
-                ("precision", self.precision),
-                ("recall", self.recall),
-                ("f1", self.f1),
-            )
-        )
+        """Line-oriented key=value text block, one line per field."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return "".join(f"{k}={v:.9g}\n" if isinstance(v, float) else f"{k}={v}\n"
+                       for k, v in values)
 
 
 def match_prf(selected, gt_inlier) -> EvalReport:
@@ -83,7 +77,7 @@ def hist_auc(errors, threshold: float, bin_width: float = 5.0) -> float:
     """Cumulative-histogram approximation of exact_auc with fixed-width bins.
 
     Averages recall at the right edge of each bin; threshold must be a
-    positive multiple of bin_width.
+    positive multiple of bin_width, of at most 10**6 bins.
     """
     _check_positive_finite("hist_auc", "bin_width", bin_width)
     _check_positive_finite("hist_auc", "threshold", threshold)
@@ -93,6 +87,9 @@ def hist_auc(errors, threshold: float, bin_width: float = 5.0) -> float:
     if abs(nbins - round(nbins)) > 1e-9 * max(1.0, nbins):
         raise ValueError("hist_auc: threshold must be a positive multiple of bin_width")
     nbins = int(round(nbins))
+    if nbins > _MAX_BINS:
+        raise ValueError(f"hist_auc: {nbins} bins exceed {_MAX_BINS}; "
+                         "exact_auc (--auc) gives the limit of fine bins exactly")
     e = np.sort(_check_errors(errors))
     edges = bin_width * np.arange(1, nbins + 1)
     recall = np.searchsorted(e, edges, side="right") / e.size

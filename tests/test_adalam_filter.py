@@ -17,6 +17,7 @@ from adalam import (
     compute_radius,
     generate_scene,
     match_prf,
+    ratio_test_filter,
     select_seeds,
     verify_seed,
     wrap_angle,
@@ -130,8 +131,7 @@ class TestAdalamFilter:
             sc = scene(seed=100 + seed)
             sel = adalam_filter(sc.k1, sc.k2, SIZE, SIZE, sc.matches).selected
             f1_adalam.append(match_prf(sel, sc.gt_inlier).f1)
-            rsel = np.nonzero(sc.matches.ratio <= 0.8)[0]
-            f1_ratio.append(match_prf(rsel, sc.gt_inlier).f1)
+            f1_ratio.append(match_prf(ratio_test_filter(sc.matches, 0.8), sc.gt_inlier).f1)
         assert np.mean(f1_adalam) > np.mean(f1_ratio)
 
 

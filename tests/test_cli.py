@@ -493,6 +493,16 @@ class TestExitCodes:
         assert out == ""
         assert "threshold / bin_width must be finite" in stderr
 
+    def test_eval_hist_auc_bin_count_limit(self, tmp_path, capsys):
+        err = tmp_path / "err.txt"
+        err.write_text("1\ninf\n")
+        code, out, stderr = run(["eval", "--errors", str(err), "--auc", "5",
+                                 "--hist-auc", "100000000", "--bin-width", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert stderr == ("adalam eval: hist_auc: 100000000 bins exceed 1000000; "
+                          "exact_auc (--auc) gives the limit of fine bins exactly\n")
+
     @pytest.mark.parametrize("flags", [
         [], ["--auc", ",,"], ["--auc", ""], ["--hist-auc", " , ", "--map", ","],
     ], ids=["none", "auc-commas", "auc-empty", "hist-and-map-blank"])

@@ -257,6 +257,21 @@ class TestScreeningGuard:
         recheck = matching._nearest(rng.normal(size=(200, 32)), rng.normal(size=(300, 32)))[3]
         assert not recheck.any()
 
+    @pytest.mark.parametrize("n2", [1, 2])
+    def test_no_recheck_without_a_third_row(self, monkeypatch, n2):
+        # Both candidates are masked to -inf, so even a huge bound finds no
+        # other row at or above the floor.
+        monkeypatch.setattr(matching, "_screen_bound",
+                            lambda norm_a, max_b, d: np.full_like(norm_a, 1e30))
+        d1 = np.array(NEAR_TIE[0] * 3)
+        d2 = np.array(NEAR_TIE[1][:n2])
+        idx, dist, ratio, recheck = matching._nearest(d1, d2)
+        assert not recheck.any()
+        oracle = explicit_nn(d1, d2)
+        assert np.array_equal(idx, oracle[0])
+        assert np.array_equal(dist, oracle[1])
+        assert np.array_equal(ratio, oracle[2])
+
     def test_guard_is_inclusive(self, monkeypatch):
         # A zero bound still rechecks a row where another row's float32
         # score equals the 2nd candidate's: reaching the floor is enough.
@@ -360,7 +375,7 @@ class TestExactSearchProperties:
         assert np.allclose(np.ldexp(m.dist, -shift), dist, rtol=1e-12, atol=0)
         assert np.allclose(m.ratio, ratio, rtol=1e-12, atol=0)
         kept = mutual_nn_filter(k1, k2, m)
-        assert np.array_equal(kept.idx1, mutual_oracle(d1, d2, m))
+        assert np.array_equal(m.idx1[kept], mutual_oracle(d1, d2, m))
 
 
 class TestRatioTestFilter:
@@ -375,8 +390,9 @@ class TestRatioTestFilter:
         )
 
     def test_basic(self):
-        kept = ratio_test_filter(self._matches([0.5, 0.9]), 0.8)
-        assert list(kept.ratio) == [0.5]
+        m = self._matches([0.5, 0.9])
+        kept = ratio_test_filter(m, 0.8)
+        assert list(m.ratio[kept]) == [0.5]
 
     def test_threshold_one_is_identity(self):
         m = self._matches([0.1, 0.99, 1.0])
@@ -392,8 +408,8 @@ class TestRatioTestFilter:
         rng = np.random.default_rng(5)
         m = self._matches(rng.uniform(0, 1, size=200))
         for lo, hi in [(0.2, 0.5), (0.5, 0.9), (0.9, 1.0)]:
-            a = set(ratio_test_filter(m, lo).idx1)
-            b = set(ratio_test_filter(m, hi).idx1)
+            a = set(m.idx1[ratio_test_filter(m, lo)])
+            b = set(m.idx1[ratio_test_filter(m, hi)])
             assert a <= b
 
     @pytest.mark.parametrize("t", [0.0, -0.5, 1.5])
@@ -419,11 +435,15 @@ class TestMutualNNFilter:
         assert list(m.idx2) == [0, 0]
         kept = mutual_nn_filter(k1, k2, m)
         assert len(kept) == 1
-        assert kept.idx1[0] == 0 and kept.idx2[0] == 0
+        assert m.idx1[kept[0]] == 0 and m.idx2[kept[0]] == 0
 
     def test_empty_matches(self):
+        # An empty first set leaves no reverse search to run.
+        k0 = kps_from_desc(np.zeros((0, 2)))
         k1 = kps_from_desc([[1.0, 0.0], [0.0, 1.0]])
-        assert len(mutual_nn_filter(k1, k1, MatchSet.empty())) == 0
+        for a, b in ((k1, k1), (k1, k0), (k0, k1), (k0, k0)):
+            kept = mutual_nn_filter(a, b, MatchSet.empty())
+            assert kept.dtype == np.int64 and kept.shape == (0,)
 
     @pytest.mark.parametrize("shift", [0] + SHIFTS)
     def test_matches_brute_force_reverse_oracle(self, shift):
@@ -435,7 +455,7 @@ class TestMutualNNFilter:
         kept = mutual_nn_filter(kps_from_desc(np.ldexp(d1, shift)),
                                 kps_from_desc(np.ldexp(d2, shift)), m)
         expect = mutual_oracle(d1, d2, m)
-        assert np.array_equal(kept.idx1, expect)
+        assert np.array_equal(m.idx1[kept], expect)
         assert 10 <= len(expect) < 40
 
     def test_single_keypoint_first_set(self):
@@ -449,7 +469,32 @@ class TestMutualNNFilter:
         k2 = kps_from_desc(rng.normal(size=(50, 5)))
         m = nn_match(k1, k2)
         kept = mutual_nn_filter(k1, k2, m)
-        assert set(kept.idx1) <= set(m.idx1)
-        again = mutual_nn_filter(k1, k2, kept)
-        assert np.array_equal(again.idx1, kept.idx1)
-        assert np.array_equal(again.idx2, kept.idx2)
+        assert set(m.idx1[kept]) <= set(m.idx1)
+        again = mutual_nn_filter(k1, k2, m.take(kept))
+        assert np.array_equal(again, np.arange(len(kept)))
+
+
+class TestFilterRows:
+    """Both baseline filters return the rows of their input that they keep:
+    sorted, unique int64 indices, np.flatnonzero of the filter's rule."""
+
+    @staticmethod
+    def _check(kept, rule):
+        assert kept.dtype == np.int64 and kept.ndim == 1
+        assert np.all(np.diff(kept) > 0)
+        assert np.array_equal(kept, np.flatnonzero(rule))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(descriptor_pairs(), st.data())
+    def test_rows_are_flatnonzero_of_the_rule(self, inputs, data):
+        d1, d2, shift = inputs
+        k1 = kps_from_desc(np.ldexp(d1, shift))
+        k2 = kps_from_desc(np.ldexp(d2, shift))
+        # A subset of nn_match's rows in any order, so that rows and idx1 differ.
+        rows = data.draw(st.lists(st.integers(0, len(d1) - 1), unique=True))
+        m = nn_match(k1, k2).take(np.array(rows, dtype=np.int64))
+        threshold = data.draw(st.sampled_from([r for r in m.ratio if r > 0] or [1.0])
+                              | st.floats(0.0, 1.0, exclude_min=True))
+        self._check(ratio_test_filter(m, threshold), m.ratio <= threshold)
+        back = explicit_nn(d2[m.idx2], d1)[0]
+        self._check(mutual_nn_filter(k1, k2, m), back == m.idx1)

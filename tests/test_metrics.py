@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ class TestHistAuc:
         # Both arguments are finite, but their ratio overflows to inf.
         with pytest.raises(ValueError, match=r"hist_auc: threshold / bin_width must be finite"):
             hist_auc([1.0], 1e308, 1e-308)
+
+    def test_bin_count_limit(self):
+        # 10**6 bins are computed; one more is refused before any array of
+        # bins is allocated, naming exact_auc.
+        assert hist_auc([0.5, math.inf], 1e6, 1.0) == 0.5
+        tracemalloc.start()
+        try:
+            for threshold in (1e6 + 1, 1e8):
+                with pytest.raises(ValueError, match=r"^hist_auc: .* exceed 1000000; exact_auc"):
+                    hist_auc([0.5, math.inf], threshold, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 @st.composite
