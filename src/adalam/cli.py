@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -49,15 +50,11 @@ def _add_adalam_flags(p: argparse.ArgumentParser):
                    help="adaptive confidence threshold")
     p.add_argument("--t-n", type=int, default=_DEFAULTS.t_n,
                    help="minimum inliers for an accepted seed")
-    p.add_argument("--no-side-info", dest="use_side_info", action="store_false",
-                   help="disable orientation/scale neighborhood filtering")
     p.add_argument("--no-refit", dest="use_refit", action="store_false",
                    help="disable the least-squares refit on inliers")
     p.add_argument("--fixed-threshold", type=float, default=_DEFAULTS.fixed_threshold,
                    help="fixed residual threshold in pixels, replaces the "
                         "adaptive confidence test")
-    p.add_argument("--eps-residual", type=float, default=_DEFAULTS.eps_residual,
-                   help="residual clamp fraction of the image-2 radius")
 
 
 def _add_scene_flags(p: argparse.ArgumentParser, noise_sigma: float):
@@ -259,7 +256,7 @@ def _cmd_bench(args) -> int:
               for k in range(args.scenes)]
     variants = (
         ("adalam", AdalamParams()),
-        ("no-side", AdalamParams(use_side_info=False)),
+        ("no-side", AdalamParams(t_alpha=math.inf, t_sigma=math.inf)),
         ("no-refit", AdalamParams(use_refit=False)),
         ("lam", AdalamParams(use_refit=False, fixed_threshold=args.lam_threshold)),
         ("ratio-test", None),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -194,10 +194,11 @@ class AdalamParams:
     fixed_threshold, when set, replaces the adaptive confidence test by a
     fixed residual radius in pixels (the plain locally-affine baseline).
     t_sigma thresholds the absolute log of the scale-transform ratio.
-    t_c must be finite and eps_residual must lie in (0, 1): at 1 or more
-    every residual would clamp to r2 or beyond. t_alpha, t_sigma and
-    fixed_threshold may be infinite: t_alpha or t_sigma then switches its
-    gate off, and fixed_threshold keeps every member.
+    t_c must be finite. t_alpha, t_sigma and fixed_threshold may be
+    infinite: t_alpha or t_sigma then switches its gate off (both off is the
+    no-side-information ablation), and fixed_threshold keeps every member.
+    eps_residual is a constant, not a setting: the confidence clamps
+    residuals below at eps_residual * r2.
     """
 
     area_ratio: float = 100.0
@@ -207,10 +208,9 @@ class AdalamParams:
     t_sigma: float = 1.5
     t_c: float = 200.0
     t_n: int = 6
-    use_side_info: bool = True
     use_refit: bool = True
     fixed_threshold: Optional[float] = None
-    eps_residual: float = 1e-6
+    eps_residual: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         _set_integers(self, "iterations", "t_n")
@@ -222,8 +222,6 @@ class AdalamParams:
                 raise ValueError(f"AdalamParams: {name} must be > 0")
         if not self.t_c < math.inf:
             raise ValueError("AdalamParams: t_c must be finite")
-        if not 0 < self.eps_residual < 1:
-            raise ValueError("AdalamParams: eps_residual must be > 0 and < 1")
         if not self.lam >= 1:
             raise ValueError("AdalamParams: lam must be >= 1")
         if not self.iterations >= 1:

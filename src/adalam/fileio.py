@@ -235,7 +235,7 @@ def _fault(columns, groups) -> Optional[str]:
 
 
 def read_errors(path) -> np.ndarray:
-    """Read a pose-error list: one value per line, 'inf' marks failure."""
+    """Read a pose-error list: one value >= 0 per line, 'inf' marks failure."""
     lines = _read_lines(path)
     vals = []
     for offset, ln in enumerate(lines, start=1):
@@ -243,9 +243,12 @@ def read_errors(path) -> np.ndarray:
         if not s:
             continue
         try:
-            vals.append(float(s))
+            value = float(s)
         except ValueError:
             raise ParseError(path, offset, "non-numeric error value") from None
+        if not value >= 0:  # NaN fails too
+            raise ParseError(path, offset, "errors must be nonnegative (inf marks failure)")
+        vals.append(value)
     if not vals:
         raise ParseError(path, 1, "empty error list")
     return np.asarray(vals, dtype=np.float64)

@@ -184,8 +184,8 @@ def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
 
     Pair k is match cand[k] and seed seeds[owner[k]]; no pair may repeat.
     arrays is the tuple from _transform_arrays. A candidate is a member when
-    it passes the spatial gates of both images and, with side information,
-    the orientation and scale gates. Each seed is its own member: its
+    it passes the spatial gates of both images and the orientation and
+    scale gates (inf opens a gate). Each seed is its own member: its
     distance, orientation offset and log-scale offset to itself are 0, and
     every gate's threshold is positive.
     Returns (members, bounds, centered1, centered2): seed j's members are
@@ -198,10 +198,8 @@ def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
     near = _within(x1, si, cand, lam_r1)
     cand, owner, si = cand[near], owner[near], si[near]
     ok = _within(x2, si, cand, lam_r2)
-    if params.use_side_info:
-        da = np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand]))
-        ds = np.abs(logsig_t[si] - logsig_t[cand])
-        ok &= (da <= params.t_alpha) & (ds <= params.t_sigma)
+    ok &= np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand])) <= params.t_alpha
+    ok &= np.abs(logsig_t[si] - logsig_t[cand]) <= params.t_sigma
     cand, owner = cand[ok], owner[ok]
     order = np.lexsort((cand, ratio[cand], owner))
     members, owner = cand[order], owner[order]
@@ -221,12 +219,12 @@ def assemble_neighborhood(
     """Collect the matches compatible with a seed correspondence.
 
     A match joins the neighborhood when it lies within lam * r1 of the seed
-    in image 1 and lam * r2 in image 2, and (unless side information is
-    disabled) when its induced orientation offset and log scale ratio agree
-    with the seed's within t_alpha and t_sigma. Members come out sorted by
-    ratio ascending, ties by match index. The seed is always a member, as
-    it passes its own gates: every offset to itself is 0 and every
-    threshold is positive. A match index beyond k1 or k2 raises ValueError.
+    in image 1 and lam * r2 in image 2, and its induced orientation offset
+    and log scale ratio agree with the seed's within t_alpha and t_sigma
+    (inf opens a gate). Members come out sorted by ratio ascending, ties by
+    match index. The seed is always a member, as it passes its own gates:
+    every offset to itself is 0 and every threshold is positive. A match
+    index beyond k1 or k2 raises ValueError.
     """
     si = int(seed.match_index)
     m = len(matches)
@@ -299,10 +297,10 @@ def _residuals(a, u, v):
     return np.sqrt(dx, out=dx)
 
 
-def _confidences(rs, r2, eps_residual):
+def _confidences(rs, r2):
     """Per-rank confidence of residuals sorted ascending along the last axis."""
     m = rs.shape[-1]
-    rs = np.maximum(rs, eps_residual * r2)
+    rs = np.maximum(rs, AdalamParams.eps_residual * r2)
     den = np.multiply(m, rs)
     den *= rs
     return np.divide(np.arange(1, m + 1) * r2 * r2, den, out=den)
@@ -314,23 +312,20 @@ def residuals(model: AffineModel, neighborhood: Neighborhood) -> np.ndarray:
     return _residuals(model.as_matrix()[None], nb.centered1, nb.centered2)[0]
 
 
-def confidences(resid, r2: float, eps_residual: float = 1e-6):
+def confidences(resid, r2: float):
     """Rank members by residual and score each against the uniform null.
 
     Returns (order, conf): member indices sorted by residual ascending, with
     equal residuals ranked by member index, and, per rank k, the ratio
     between the observed inlier count k+1 and the count expected from
     uniformly scattered outliers within radius r2 at the same residual.
-    Residuals are clamped below at eps_residual * r2 before squaring, with
-    eps_residual in (0, 1).
+    Residuals are clamped below at AdalamParams.eps_residual * r2 first.
     """
     if not 0 < r2 < math.inf:
         raise ValueError("confidences: r2 must be > 0")
-    if not 0 < eps_residual < 1:
-        raise ValueError("confidences: eps_residual must be > 0 and < 1")
     resid = np.asarray(resid, dtype=np.float64)
     order = np.argsort(resid, kind="stable")
-    return order, _confidences(resid[order], r2, eps_residual)
+    return order, _confidences(resid[order], r2)
 
 
 def select_inliers(order, conf, resid, t_c: float, fixed_threshold=None) -> np.ndarray:
@@ -389,7 +384,7 @@ def _score_models(a, u, v, r2, params):
     """
     resid = _residuals(a, u, v)
     rs = np.sort(resid, axis=1)
-    conf = _confidences(rs, r2, params.eps_residual)
+    conf = _confidences(rs, r2)
     if params.fixed_threshold is not None:
         counts = (rs <= params.fixed_threshold).sum(axis=1)
     else:
@@ -410,11 +405,12 @@ def _solve(b, s, det):
     return (b * diag - b[:, :, ::-1] * off) / det[:, None, None]
 
 
-def _refit_models(a, u, v, mask, counts):
+def _refit_models(a, u, v, mask):
     """One least-squares refit per iteration on its inlier mask (t, m).
 
-    Iterations whose inlier scatter is rank deficient (or with fewer than
-    two inliers) keep their minimal-sample model. Returns the new batch.
+    Iterations whose inlier scatter fails the rank test keep their
+    minimal-sample model, as does every mask of fewer than two inliers: one
+    member's scatter has det within rounding of 0. Returns the new batch.
     """
     # Per member, u u^T's 3 distinct entries and v u^T's 4, in C order: the bits
     # of the sums depend on the layout, and in gemv (t = 1) on the column count.
@@ -425,7 +421,7 @@ def _refit_models(a, u, v, mask, counts):
     s = sums[:, [0, 1, 1, 2]].reshape(-1, 2, 2)  # per model: sum of u u^T
     b = sums[:, 3:].reshape(-1, 2, 2)            # and of v u^T
     det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    ok = (counts >= 2) & (det > _SCATTER_REL * (s[:, 0, 0] + s[:, 1, 1]) ** 2)
+    ok = det > _SCATTER_REL * (s[:, 0, 0] + s[:, 1, 1]) ** 2
     a = a.copy()
     a[ok] = _solve(b[ok], s[ok], det[ok])
     return a
@@ -464,7 +460,7 @@ def _verify(u, v, r2, params: AdalamParams):
     if params.use_refit:
         # Rows with equal model bits get equal scores, as every operation
         # is elementwise and correctly rounded: score each distinct model once.
-        a = _refit_models(a, u, v, resid <= closing[:, None], counts)
+        a = _refit_models(a, u, v, resid <= closing[:, None])
         first, rows = _distinct_models(a)
         resid, counts, closing, worst = _score_models(a[first], u, v, r2, params)
 

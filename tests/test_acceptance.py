@@ -166,7 +166,7 @@ def test_criterion_6_ablation_direction():
         results = {}
         for name, params in (
             ("full", AdalamParams()),
-            ("noside", AdalamParams(use_side_info=False)),
+            ("noside", AdalamParams(t_alpha=math.inf, t_sigma=math.inf)),
         ):
             start = time.perf_counter()
             f1s = [

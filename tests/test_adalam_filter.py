@@ -24,6 +24,7 @@ from adalam import (
 )
 
 SIZE = ImageSize(1000, 1000)
+NO_SIDE = dict(t_alpha=np.inf, t_sigma=np.inf)  # the no-side-information ablation
 
 
 def scene(seed=0, **kw):
@@ -203,7 +204,7 @@ REPLAY_VARIANTS = {
 @pytest.mark.parametrize("variant", sorted(REPLAY_VARIANTS))
 @pytest.mark.parametrize("params", [
     AdalamParams(),
-    AdalamParams(use_side_info=False),
+    AdalamParams(**NO_SIDE),
     AdalamParams(fixed_threshold=3.0, t_n=2),
 ], ids=["defaults", "no-side-info", "fixed-3"])
 def test_filter_equals_replay_through_public_stages(variant, params):
@@ -337,7 +338,7 @@ def membership_scenes(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(membership_scenes(), st.sampled_from([1, 40, filtering._GROUP]),
-       st.sampled_from([AdalamParams(), AdalamParams(use_side_info=False)]))
+       st.sampled_from([AdalamParams(), AdalamParams(**NO_SIDE)]))
 def test_grouped_membership_equals_assemble_neighborhood(scene, group, params):
     """adalam_filter gates the candidates of consecutive seeds in groups of
     at most `group` pairs, or one seed; group 1 puts a seam between every
@@ -368,6 +369,25 @@ def test_grouped_membership_equals_assemble_neighborhood(scene, group, params):
             assert members[part].tobytes() == nb.members.tobytes()
             assert np.ascontiguousarray(c1[part]).tobytes() == nb.centered1.tobytes()
             assert np.ascontiguousarray(c2[part]).tobytes() == nb.centered2.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(membership_scenes(), st.sampled_from([1.0, 0.5]))
+def test_infinite_side_thresholds_gate_by_distance_alone(scene, r2_scale):
+    """With t_alpha = t_sigma = inf, every seed's members are exactly the
+    matches within lam * r1 in image 1 and lam * r2 in image 2, by squared
+    distance, whatever their orientations and scales."""
+    k1, k2, matches = scene
+    params = AdalamParams(**NO_SIDE)
+    r1 = compute_radius(MEMBERSHIP_SIZE, params.area_ratio)
+    x1, x2 = k1.xy[matches.idx1], k2.xy[matches.idx2]
+    for si in range(len(matches)):
+        seed = Seed(si, r1, r2_scale * r1)
+        near1 = ((x1 - x1[si]) ** 2).sum(axis=1) <= (params.lam * seed.r1) ** 2
+        near2 = ((x2 - x2[si]) ** 2).sum(axis=1) <= (params.lam * seed.r2) ** 2
+        expect = np.flatnonzero(near1 & near2)
+        nb = assemble_neighborhood(seed, matches, k1, k2, params)
+        assert np.array_equal(np.sort(nb.members), expect)
 
 
 @st.composite
@@ -423,12 +443,12 @@ def adversarial_scenes(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(adversarial_scenes(), st.sampled_from([1.0, 1.2, 4.0]), st.booleans())
-def test_adversarial_scenes_filter_as_the_replay(scene, lam, use_side_info):
+def test_adversarial_scenes_filter_as_the_replay(scene, lam, side_gates):
     """adalam_filter equals the replay through the public stages on
     degenerate layouts at lam 1, 1.2 and 4, and the one error it raises is
     select_seeds' ValueError for a span over the seed grid's limit."""
     k1, k2, matches, refused = scene
-    params = AdalamParams(lam=lam, t_n=2, use_side_info=use_side_info)
+    params = AdalamParams(lam=lam, t_n=2, **({} if side_gates else NO_SIDE))
     if refused:
         r1 = compute_radius(SIZE, params.area_ratio)
         with pytest.raises(ValueError, match="positions span") as seeds_error:

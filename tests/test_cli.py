@@ -67,10 +67,8 @@ class TestParserDefaults:
             "t_sigma": (["--t-sigma", "1.0"], 1.0),
             "t_c": (["--t-c", "100"], 100.0),
             "t_n": (["--t-n", "4"], 4),
-            "use_side_info": (["--no-side-info"], False),
             "use_refit": (["--no-refit"], False),
             "fixed_threshold": (["--fixed-threshold", "2.5"], 2.5),
-            "eps_residual": (["--eps-residual", "1e-5"], 1e-5),
         }
         assert set(overrides) == {
             f.name for f in dataclasses.fields(AdalamParams)
@@ -132,11 +130,9 @@ CLI_SURFACE = {
         "--t-sigma": (1.5, "log scale-ratio agreement threshold"),
         "--t-c": (200.0, "adaptive confidence threshold"),
         "--t-n": (6, "minimum inliers for an accepted seed"),
-        "--no-side-info": ("switch", "disable orientation/scale neighborhood filtering"),
         "--no-refit": ("switch", "disable the least-squares refit on inliers"),
         "--fixed-threshold": (None, "fixed residual threshold in pixels, replaces the "
                                     "adaptive confidence test"),
-        "--eps-residual": (1e-06, "residual clamp fraction of the image-2 radius"),
     },
     "eval": {
         "--selected": (None, "filtered match file"),
@@ -224,7 +220,8 @@ class TestPipeline:
         run(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
              "--matches", str(mt), "--out", str(base)])
         run(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
-             "--matches", str(mt), "--out", str(loose), "--no-side-info"])
+             "--matches", str(mt), "--out", str(loose),
+             "--t-alpha", "inf", "--t-sigma", "inf"])
         mb, _ = read_matches(base)
         ml, _ = read_matches(loose)
         assert len(ml) >= 1
@@ -365,8 +362,7 @@ class TestExitCodes:
         out = tmp_path / "o.txt"
         for flag, field in [("--area-ratio", "area_ratio"), ("--lambda", "lam"),
                             ("--t-alpha", "t_alpha"), ("--t-sigma", "t_sigma"),
-                            ("--t-c", "t_c"), ("--fixed-threshold", "fixed_threshold"),
-                            ("--eps-residual", "eps_residual")]:
+                            ("--t-c", "t_c"), ("--fixed-threshold", "fixed_threshold")]:
             code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
                          "--matches", str(mt), "--out", str(out), flag, "nan"])
             assert code == 2
@@ -381,16 +377,6 @@ class TestExitCodes:
         assert code == 2
         assert "area_ratio must be > 0" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_eps_residual_of_one_or_more(self, tmp_path, capsys):
-        kp1, kp2, mt = synth_files(tmp_path)
-        out = tmp_path / "o.txt"
-        for value in ("1", "1e300"):
-            code = main(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
-                         "--matches", str(mt), "--out", str(out), "--eps-residual", value])
-            assert code == 2
-            assert "eps_residual must be > 0 and < 1" in capsys.readouterr().err
-            assert not out.exists()
 
     def test_non_finite_synth_setting(self, tmp_path, capsys):
         for flag, field in [("--noise-sigma", "noise_sigma"),
@@ -502,6 +488,16 @@ class TestExitCodes:
         assert out == ""
         assert stderr == ("adalam eval: hist_auc: 100000000 bins exceed 1000000; "
                           "exact_auc (--auc) gives the limit of fine bins exactly\n")
+
+    @pytest.mark.parametrize("value", ["nan", "-3", "-inf"])
+    def test_eval_errors_names_the_line_of_a_bad_value(self, tmp_path, capsys, value):
+        err = tmp_path / "err.txt"
+        err.write_text(f"1.0\n{value}\n")
+        code, out, stderr = run(["eval", "--errors", str(err), "--auc", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert stderr == (f"adalam eval: {err}:2: errors must be nonnegative "
+                          "(inf marks failure)\n")
 
     @pytest.mark.parametrize("flags", [
         [], ["--auc", ",,"], ["--auc", ""], ["--hist-auc", " , ", "--map", ","],

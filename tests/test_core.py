@@ -167,7 +167,7 @@ class TestAdalamParams:
         assert p.t_sigma == 1.5
         assert p.t_c == 200.0
         assert p.t_n == 6
-        assert p.use_side_info and p.use_refit
+        assert p.use_refit
         assert p.fixed_threshold is None
         assert p.eps_residual == 1e-6
 
@@ -182,14 +182,12 @@ class TestAdalamParams:
             {"t_c": 0},
             {"t_n": 1},
             {"fixed_threshold": 0.0},
-            {"eps_residual": 0.0},
             {"area_ratio": math.nan},
             {"lam": math.nan},
             {"t_alpha": math.nan},
             {"t_sigma": math.nan},
             {"t_c": math.nan},
             {"fixed_threshold": math.nan},
-            {"eps_residual": math.nan},
             {"area_ratio": math.inf},
             {"iterations": 2.5},
             {"iterations": math.inf},
@@ -198,9 +196,6 @@ class TestAdalamParams:
             {"t_n": math.inf},
             {"t_n": math.nan},
             {"t_c": math.inf},
-            {"eps_residual": math.inf},
-            {"eps_residual": 1.0},
-            {"eps_residual": 1e300},
         ],
     )
     def test_invalid(self, kw):

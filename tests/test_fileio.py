@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import re
@@ -172,6 +173,35 @@ class TestKeypointRoundTrip:
             write_keypoints(target, SIZE, make_keypoints(2))
         assert not target.exists()
 
+    def test_failed_rename_names_target_and_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "kp.txt"
+        target.write_bytes(b"previous")
+        fault = OSError(errno.EXDEV, os.strerror(errno.EXDEV), "the temporary file")
+        with mock.patch.object(fileio.os, "replace", side_effect=fault):
+            with pytest.raises(OSError) as exc:
+                fileio._atomic_write(target, ["new\n"])
+        assert exc.value.filename == str(target)
+        assert exc.value.errno == errno.EXDEV
+        assert target.read_bytes() == b"previous"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("fault", [ValueError("bad piece"), KeyboardInterrupt()],
+                             ids=["ValueError", "KeyboardInterrupt"])
+    def test_fault_mid_write_removes_temporary_and_propagates(self, tmp_path, fault):
+        target = tmp_path / "kp.txt"
+        target.write_bytes(b"previous")
+
+        def pieces():
+            yield "new\n"
+            assert len(list(tmp_path.glob("*.tmp"))) == 1
+            raise fault
+
+        with pytest.raises(type(fault)) as exc:
+            fileio._atomic_write(target, pieces())
+        assert exc.value is fault
+        assert target.read_bytes() == b"previous"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_output_mode_follows_umask(self, tmp_path, umask, mode):
         kp, mt = tmp_path / "kp.txt", tmp_path / "mt.txt"
@@ -315,9 +345,9 @@ class TestContainerRefusals:
 class TestReadErrors:
     def test_basic(self, tmp_path):
         path = tmp_path / "err.txt"
-        path.write_text("1.5\ninf\n\n0\n")
+        path.write_text("1.5\ninf\n\n0\n-0.0\n")
         got = read_errors(path)
-        assert got.tolist() == [1.5, float("inf"), 0.0]
+        assert got.tolist() == [1.5, float("inf"), 0.0, -0.0]
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "err.txt"
@@ -330,6 +360,14 @@ class TestReadErrors:
         path.write_text("\n")
         with pytest.raises(ParseError):
             read_errors(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-3", "-inf"])
+    def test_nan_or_negative_named_at_its_line(self, tmp_path, value):
+        path = tmp_path / "err.txt"
+        path.write_text(f"1.0\n{value}\n")
+        with pytest.raises(ParseError, match=":2: errors must be nonnegative") as exc:
+            read_errors(path)
+        assert exc.value.line == 2
 
 
 # Property tests: the whole-row writers against per-field f"{x:.9g}", and the

@@ -10,7 +10,9 @@ quantised to 1, 4 or 16 px, 30% of positions duplicated, all-equal or
 inputs of 1 to 7 matches. Each run prints one line: the scene, the
 parameter set, the SHA-256 of `selected` (with its dtype) and the SHA-256
 of repr(seed_reports). Two trees filter identically on the matrix when
-their outputs diff empty.
+their outputs diff empty. The output of the code as it stands is committed
+as tools/filter_digest.golden, and CI diffs against it; a change that moves
+a line on purpose updates that file and says which lines moved.
 
 It then runs the matrix again with one seed per membership pass
 (filtering._GROUP = 1). A line that differs from the first pass means that
@@ -20,6 +22,7 @@ exit status is 1.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -30,13 +33,13 @@ from adalam.synth import SynthConfig, generate_scene
 
 PARAM_SETS = (
     ("defaults", AdalamParams()),
-    ("no-side-info", AdalamParams(use_side_info=False)),
+    ("no-side-info", AdalamParams(t_alpha=math.inf, t_sigma=math.inf)),
     ("no-refit", AdalamParams(use_refit=False)),
     ("fixed-5", AdalamParams(fixed_threshold=5.0)),
     ("t_n-2", AdalamParams(t_n=2)),
     ("iterations-7", AdalamParams(iterations=7)),
     ("lam-1", AdalamParams(lam=1.0, t_n=2)),
-    ("lam-1.2-no-side", AdalamParams(lam=1.2, use_side_info=False)),
+    ("lam-1.2-no-side", AdalamParams(lam=1.2, t_alpha=math.inf, t_sigma=math.inf)),
 )
 
 

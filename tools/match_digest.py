@@ -19,6 +19,9 @@ of rows whose screening was rechecked. The cases are
   inliers and 6000 outliers, 128-d), scene seeds 101 and 102.
 
 Two trees match identically on these cases when their outputs diff empty.
+The output of the code as it stands is committed as
+tools/match_digest.golden, and CI diffs against it; a change that moves a
+line on purpose updates that file and says which lines moved.
 
 It then runs the cases again in blocks of 7 rows (matching._CHUNK = 7).
 A case whose nearest indices, distances or ratios differ from the first
