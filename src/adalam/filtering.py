@@ -187,7 +187,8 @@ def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
     it passes the spatial gates of both images and the orientation and
     scale gates (inf opens a gate). Each seed is its own member: its
     distance, orientation offset and log-scale offset to itself are 0, and
-    every gate's threshold is positive.
+    every gate's threshold is positive. The gates are independent tests of
+    a pair, so the side gates run only on the pairs within both distances.
     Returns (members, bounds, centered1, centered2): seed j's members are
     members[bounds[j]:bounds[j + 1]], ordered by ratio ascending, ties by
     match index, and the same rows of the column-major (n, 2) centered1 and
@@ -195,10 +196,10 @@ def _members(cand, owner, seeds, arrays, ratio, lam_r1, lam_r2, params):
     """
     x1, x2, alpha_t, logsig_t = arrays
     si = seeds[owner]
-    near = _within(x1, si, cand, lam_r1)
-    cand, owner, si = cand[near], owner[near], si[near]
-    ok = _within(x2, si, cand, lam_r2)
-    ok &= np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand])) <= params.t_alpha
+    for x, r in ((x1, lam_r1), (x2, lam_r2)):
+        near = _within(x, si, cand, r)
+        cand, owner, si = cand[near], owner[near], si[near]
+    ok = np.abs(_wrap_angle(alpha_t[si] - alpha_t[cand])) <= params.t_alpha
     ok &= np.abs(logsig_t[si] - logsig_t[cand]) <= params.t_sigma
     cand, owner = cand[ok], owner[ok]
     order = np.lexsort((cand, ratio[cand], owner))

@@ -307,9 +307,10 @@ MEMBERSHIP_SIZE = ImageSize(100, 100)  # r1 about 5.6: a candidate cell holds se
 def membership_scenes(draw):
     """Up to 50 matches on a 100 x 100 image: lattice or free positions,
     optionally duplicated, each moved in image 2 or not; all-equal or drawn
-    ratios; orientations and scales from small sets, so that the
-    side-information gates cut; and up to four matches exactly lam * r1
-    from match 0 along an axis, in both images."""
+    ratios; scales from 1/16 to 64 and orientations across (-pi, pi], often
+    near +-pi, so that the side-information gates cut and orientation
+    offsets wrap; and up to four matches exactly lam * r1 from match 0
+    along an axis, in both images."""
     n = draw(st.integers(1, 50))
     coord = draw(st.sampled_from([st.integers(0, 25).map(lambda k: 4.0 * k),
                                   st.floats(0.0, 100.0)]))
@@ -325,14 +326,17 @@ def membership_scenes(draw):
     xy1[0] = xy2[0] = (lam_r1, lam_r1)
     for j, (dx, dy) in enumerate(steps[:draw(st.integers(0, min(4, n - 1)))], start=1):
         xy1[j] = xy2[j] = (lam_r1 + dx, lam_r1 + dy)
-    side = [draw(hnp.arrays(np.float64, n, elements=st.sampled_from(values)))
-            for values in ([1.0, 2.0, 8.0], [1.0, 2.0, 8.0], [0.0, 0.3, 1.0], [0.0, 0.3, 1.0])]
+    scale = st.sampled_from([1 / 16, 0.5, 1.0, 2.0, 8.0, 64.0])
+    angle = st.one_of(st.sampled_from([0.0, 0.3, 1.0, -3.0, 3.0, -3.1, 3.1, np.pi]),
+                      st.floats(-np.pi, np.pi, exclude_min=True))
+    sigma1, sigma2, alpha1, alpha2 = (draw(hnp.arrays(np.float64, n, elements=values))
+                                      for values in (scale, scale, angle, angle))
     if draw(st.booleans()):
         ratio = np.full(n, 0.5)
     else:
         ratio = draw(hnp.arrays(np.float64, n, elements=st.integers(0, 10).map(lambda k: k / 10)))
-    k1 = KeypointSet(xy1, side[0], side[2], np.zeros((n, 2)))
-    k2 = KeypointSet(xy2, side[1], side[3], np.zeros((n, 2)))
+    k1 = KeypointSet(xy1, sigma1, alpha1, np.zeros((n, 2)))
+    k2 = KeypointSet(xy2, sigma2, alpha2, np.zeros((n, 2)))
     return k1, k2, MatchSet(np.arange(n), np.arange(n), np.zeros(n), ratio)
 
 
@@ -372,22 +376,31 @@ def test_grouped_membership_equals_assemble_neighborhood(scene, group, params):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(membership_scenes(), st.sampled_from([1.0, 0.5]))
-def test_infinite_side_thresholds_gate_by_distance_alone(scene, r2_scale):
-    """With t_alpha = t_sigma = inf, every seed's members are exactly the
-    matches within lam * r1 in image 1 and lam * r2 in image 2, by squared
-    distance, whatever their orientations and scales."""
+@given(membership_scenes(), st.sampled_from([1.0, 0.5]),
+       st.sampled_from([AdalamParams(), AdalamParams(**NO_SIDE)]))
+def test_members_are_the_matches_inside_every_gate(scene, r2_scale, params):
+    """Every seed's members are exactly the matches within lam * r1 in image
+    1 and lam * r2 in image 2, by squared distance, whose orientation offset
+    |wrap_angle(da)| is at most t_alpha and whose log-scale offset is at
+    most t_sigma, ordered by ratio, then match index; inf opens a side gate.
+    Their centred positions are their offsets from the seed in each image."""
     k1, k2, matches = scene
-    params = AdalamParams(**NO_SIDE)
     r1 = compute_radius(MEMBERSHIP_SIZE, params.area_ratio)
     x1, x2 = k1.xy[matches.idx1], k2.xy[matches.idx2]
+    alpha = wrap_angle(k2.alpha[matches.idx2] - k1.alpha[matches.idx1])
+    logsig = np.log(k2.sigma[matches.idx2]) - np.log(k1.sigma[matches.idx1])
     for si in range(len(matches)):
         seed = Seed(si, r1, r2_scale * r1)
         near1 = ((x1 - x1[si]) ** 2).sum(axis=1) <= (params.lam * seed.r1) ** 2
         near2 = ((x2 - x2[si]) ** 2).sum(axis=1) <= (params.lam * seed.r2) ** 2
-        expect = np.flatnonzero(near1 & near2)
+        turn = np.abs(wrap_angle(alpha[si] - alpha)) <= params.t_alpha
+        zoom = np.abs(logsig[si] - logsig) <= params.t_sigma
+        inside = np.flatnonzero(near1 & near2 & turn & zoom).tolist()
+        expect = sorted(inside, key=lambda k: (matches.ratio[k], k))
         nb = assemble_neighborhood(seed, matches, k1, k2, params)
-        assert np.array_equal(np.sort(nb.members), expect)
+        assert nb.members.tolist() == expect
+        assert np.array_equal(nb.centered1, x1[expect] - x1[si])
+        assert np.array_equal(nb.centered2, x2[expect] - x2[si])
 
 
 @st.composite
