@@ -5,8 +5,11 @@ record per line, floats written with 9 significant digits. Keypoint rows
 are `x y sigma alpha d0 ... d{dim-1}`; match rows are
 `idx1 idx2 dist ratio [gt]`. Angles are written as given: a KeypointSet
 already holds them in (-pi, pi].
-Files are written atomically: no partial output remains on failure, and
-a write error names the file asked for.
+Files are written atomically through a temporary file beside the target,
+which the kernel creates with mode 0o666 less the file mode creation mask;
+no process-wide state changes. No partial output remains on failure, a
+write error names the file asked for, and a target that is not a regular
+file is refused.
 Keypoint files are formatted and written 1024 rows at a time, so the
 writer's working memory does not grow with the row count.
 
@@ -18,8 +21,6 @@ from __future__ import annotations
 
 import errno
 import os
-import tempfile
-import warnings
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -44,29 +45,28 @@ class ParseError(ValueError):
 def _atomic_write(path, pieces: Iterable[str]):
     """Write the concatenated text pieces to path, all or nothing.
 
-    The text goes to a temporary file beside path, which then replaces it.
-    An existing directory at path is refused before anything is made, and
-    every OSError names path, not the temporary file.
+    The text goes to a new temporary file beside path, which then replaces
+    it. An existing path that is not a regular file is refused before
+    anything is made, and every OSError names path, not the temporary file.
     """
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        if os.path.exists(path) and not os.path.isfile(path):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            raise OSError(errno.EINVAL, "Not a regular file", path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.writelines(pieces)
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def write_keypoints(path, size: ImageSize, kps: KeypointSet):
@@ -180,10 +180,8 @@ def _load_rows(body, count, dtype, columns) -> Optional[np.ndarray]:
     if len(first.split()) != sum(width for _, _, width in columns):
         return None   # np.loadtxt would set up each declared field before failing
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, UserWarning):
+        rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
         return None
     if rows.shape != (count,) or _fault(columns, [rows[name] for name, _, _ in columns]):
         return None

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import math
 import os
+import stat
 import subprocess
 import sys
 from unittest import mock
@@ -246,6 +247,17 @@ class TestPipeline:
         lines = rep.read_text().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) > 1
+
+    def test_writes_leave_the_process_mask_and_modes_alone(self, tmp_path):
+        kp1, kp2, mt = synth_files(tmp_path)
+        out, rep = tmp_path / "kept.txt", tmp_path / "seeds.txt"
+        fault = AssertionError("process-wide state changed")
+        with mock.patch.object(os, "umask", side_effect=fault), \
+                mock.patch.object(os, "chmod", side_effect=fault):
+            assert run(["filter", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                        "--matches", str(mt), "--out", str(out),
+                        "--report", str(rep)]) == 0
+        assert rep.read_text().startswith("#")
 
     def test_eval_reports_pairs_missing_from_matches(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"
@@ -614,6 +626,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert repr(out) in err and ".tmp" not in err
         assert not list(work.glob("*.tmp")) and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_output_refused(self, tmp_path, capsys):
+        kp1, kp2, _ = synth_files(tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        code = main(["match", "--keypoints1", str(kp1), "--keypoints2", str(kp2),
+                     "--out", str(fifo)])
+        assert code == 2
+        assert repr(str(fifo)) in capsys.readouterr().err
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_eval_gt_column_required(self, tmp_path, capsys):
         mt = tmp_path / "mt.txt"

@@ -214,6 +214,61 @@ class TestKeypointRoundTrip:
         assert stat.S_IMODE(kp.stat().st_mode) == mode
         assert stat.S_IMODE(mt.stat().st_mode) == mode
 
+    def test_writes_leave_the_process_mask_and_modes_alone(self, tmp_path):
+        fault = AssertionError("process-wide state changed")
+        with mock.patch.object(os, "umask", side_effect=fault), \
+                mock.patch.object(os, "chmod", side_effect=fault):
+            write_keypoints(tmp_path / "kp.txt", SIZE, make_keypoints(3))
+            write_matches(tmp_path / "mt.txt", make_matches(3), gt=np.ones(3, bool))
+        assert read_matches(tmp_path / "mt.txt")[1].tolist() == [True] * 3
+
+    def test_reads_leave_the_warning_filters_alone(self, tmp_path):
+        write_keypoints(tmp_path / "kp.txt", SIZE, make_keypoints(3))
+        write_matches(tmp_path / "mt.txt", make_matches(3))
+        write_matches(tmp_path / "gt.txt", make_matches(3), gt=np.ones(3, bool))
+        fault = AssertionError("warning filters changed")
+        with mock.patch("warnings.catch_warnings", side_effect=fault), \
+                mock.patch("warnings.simplefilter", side_effect=fault):
+            assert len(read_keypoints(tmp_path / "kp.txt")[1]) == 3
+            assert read_matches(tmp_path / "mt.txt")[1] is None
+            assert len(read_matches(tmp_path / "gt.txt")[0]) == 3
+
+    def test_existing_temporary_name_is_never_opened(self, tmp_path):
+        target = tmp_path / "mt.txt"
+        target.write_bytes(b"previous")
+        decoy = tmp_path / f"tmp{bytes(8).hex()}.tmp"
+        decoy.write_bytes(b"decoy")
+        with mock.patch.object(os, "urandom", return_value=bytes(8)):
+            with pytest.raises(OSError) as exc:
+                write_matches(target, make_matches(3))
+        assert exc.value.errno == errno.EEXIST
+        assert exc.value.filename == str(target)
+        assert decoy.read_bytes() == b"decoy"
+        assert target.read_bytes() == b"previous"
+
+    def test_longest_target_name_is_written(self, tmp_path):
+        target = tmp_path / ("k" * 250)
+        write_keypoints(target, SIZE, make_keypoints(2))
+        assert len(read_keypoints(target)[1]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_target_that_is_not_a_regular_file_is_refused(self, tmp_path, kind):
+        if kind == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        target = tmp_path / kind
+        if kind == "fifo":
+            os.mkfifo(target)
+        else:
+            target.mkdir()
+        with pytest.raises(OSError) as exc:
+            write_matches(target, make_matches(3))
+        assert exc.value.filename == str(target)
+        assert isinstance(exc.value, IsADirectoryError) == (kind == "directory")
+        is_kind = stat.S_ISFIFO if kind == "fifo" else stat.S_ISDIR
+        assert is_kind(target.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == [kind]
+
 
 class TestMatchRoundTrip:
     def test_round_trip_without_gt(self, tmp_path):
