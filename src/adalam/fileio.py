@@ -53,9 +53,8 @@ def _atomic_write(path, pieces: Iterable[str]):
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     try:
         if os.path.exists(path) and not os.path.isfile(path):
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            raise OSError(errno.EINVAL, "Not a regular file", path)
+            raise (IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                   if os.path.isdir(path) else OSError(errno.EINVAL, "Not a regular file", path))
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
@@ -172,15 +171,17 @@ def _load_rows(body, count, dtype, columns) -> Optional[np.ndarray]:
 
     body holds the lines after the header, as str.splitlines cut them.
     np.loadtxt splits fields on the same whitespace as str.split and parses
-    floats as float() does. Its integer parser refuses '5.', '5e0' and
-    values beyond int64 as the row parser does. It also refuses '_' digit
-    separators and non-ASCII digits, which the row parser accepts; whatever
-    it refuses goes to the row parser too."""
+    floats as float() does but refuses '_' separators and non-ASCII digits,
+    which go to the row parser. Integer fields are parsed by int(): loadtxt's
+    own integer parser, from numpy 1.23 until that deprecation expired, read
+    '5.' or '2.7' through a float and only warned."""
     first = next((ln for ln in body if ln.strip()), "")
     if len(first.split()) != sum(width for _, _, width in columns):
         return None   # np.loadtxt would set up each declared field before failing
+    fields = enumerate(parse for _, parse, width in columns for _ in range(width))
     try:
-        rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
+        rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1,
+                          converters={i: int for i, parse in fields if parse is not float})
     except ValueError:
         return None
     if rows.shape != (count,) or _fault(columns, [rows[name] for name, _, _ in columns]):

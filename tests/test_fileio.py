@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -205,22 +206,17 @@ class TestKeypointRoundTrip:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_output_mode_follows_umask(self, tmp_path, umask, mode):
         kp, mt = tmp_path / "kp.txt", tmp_path / "mt.txt"
+        fault = AssertionError("process-wide state changed")
         old = os.umask(umask)
         try:
-            write_keypoints(kp, SIZE, make_keypoints(2))
-            write_matches(mt, make_matches(2))
+            with mock.patch.object(os, "umask", side_effect=fault), \
+                    mock.patch.object(os, "chmod", side_effect=fault):
+                write_keypoints(kp, SIZE, make_keypoints(2))
+                write_matches(mt, make_matches(2))
         finally:
             os.umask(old)
         assert stat.S_IMODE(kp.stat().st_mode) == mode
         assert stat.S_IMODE(mt.stat().st_mode) == mode
-
-    def test_writes_leave_the_process_mask_and_modes_alone(self, tmp_path):
-        fault = AssertionError("process-wide state changed")
-        with mock.patch.object(os, "umask", side_effect=fault), \
-                mock.patch.object(os, "chmod", side_effect=fault):
-            write_keypoints(tmp_path / "kp.txt", SIZE, make_keypoints(3))
-            write_matches(tmp_path / "mt.txt", make_matches(3), gt=np.ones(3, bool))
-        assert read_matches(tmp_path / "mt.txt")[1].tolist() == [True] * 3
 
     def test_reads_leave_the_warning_filters_alone(self, tmp_path):
         write_keypoints(tmp_path / "kp.txt", SIZE, make_keypoints(3))
@@ -612,6 +608,39 @@ class TestMatchReaderProperties:
         write_matches(path, make_matches(7), gt=np.arange(7) % 2 == 0)
         expect = read_match_outcome(path)
         with mock.patch.object(fileio, "_parse_rows", side_effect=AssertionError):
+            assert read_match_outcome(path) == expect
+
+    @pytest.mark.parametrize("field, token", [(0, "5."), (1, "5e0"), (0, "2.7"), (4, "1.")])
+    def test_fast_path_ignores_a_lenient_integer_parser(self, tmp_path, field, token):
+        # From numpy 1.23 until that deprecation expired, loadtxt read an
+        # integer field such as '2.7' through a float and only warned;
+        # lenient below does the same.
+        path = tmp_path / "mt.txt"
+        write_matches(path, make_matches(3), gt=np.ones(3, bool))
+        lines = path.read_text().split("\n")
+        row = lines[2].split(" ")
+        row[field] = token
+        lines[2] = " ".join(row)
+        path.write_text("\n".join(lines))
+        with mock.patch.object(fileio, "_load_rows", return_value=None):
+            expect = read_match_outcome(path)
+        assert expect == ("ParseError", f"{path}:3: non-numeric field")
+        loadtxt = np.loadtxt
+
+        def via_float(token):
+            try:
+                return int(token)
+            except ValueError:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                              DeprecationWarning)
+                return int(float(token))
+
+        def lenient(body, dtype, converters=None, **kwargs):
+            ints = dict.fromkeys((0, 1, 4), via_float)
+            return loadtxt(body, dtype=dtype, converters={**ints, **(converters or {})},
+                           **kwargs)
+
+        with mock.patch.object(np, "loadtxt", lenient):
             assert read_match_outcome(path) == expect
 
     @PROPERTY
